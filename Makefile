@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race test-race-sim lint vet fmt-check docs-check bench bench-smoke serve-smoke allocs-gate paperfig ci clean
+.PHONY: all build test test-race test-race-sim fuzz-smoke lint vet fmt-check docs-check bench bench-smoke serve-smoke allocs-gate paperfig ci clean
 
 all: build
 
@@ -25,6 +25,12 @@ test-race:
 test-race-sim:
 	$(GO) test -race -count=1 ./internal/sim/... ./internal/schedule/...
 	$(GO) test -race -count=3 -run 'TestParallelHelperDrainStreaming|TestParallelInvariance' ./internal/sim
+
+# Short fuzzing pass of the event loop against its strict-order oracle:
+# random mixes, policies, budgets, sampled or detailed fidelity and batch
+# caps must reproduce the maxBatch=1 result fingerprint bit for bit.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchInvariance$$' -fuzztime 20s ./internal/sim
 
 vet:
 	$(GO) vet ./...

@@ -16,10 +16,10 @@
 //
 //	-full            paper-scale geometry and instruction budgets (slow)
 //	-tiny            test-scale fidelity (CI smoke runs)
-//	-cache-scale N   cache scale divisor           (default 8)
+//	-cache-scale N   cache scale divisor           (default 64)
 //	-workloads N     mixes per study, 0 = paper    (default 20)
-//	-measure N       instructions/app measured     (default 600000)
-//	-warmup N        instructions/app warmed up    (default 150000)
+//	-measure N       instructions/app measured     (default 800000)
+//	-warmup N        instructions/app warmed up    (default 200000)
 //	-seed N          experiment seed               (default 42)
 //	-parallel N      concurrent simulations        (default GOMAXPROCS)
 //	-sim-threads N   threads inside each sim       (default 1; <0 = auto)
@@ -33,12 +33,13 @@
 //	-sample-warm N     detailed warm-up per window   (default detail/2)
 //	-validate-sampling run the sampled-vs-detailed validation table (4-core)
 //
-// -full and -tiny are mutually exclusive. Sampling changes results (it
-// estimates from the detailed windows only, with confidence intervals in
-// the tables' sampling validation output), so sampled runs are cached
-// separately from detailed ones; but for a fixed sampling configuration
-// results remain bit-identical across -parallel, -sim-threads and
-// -trace-batch.
+// The defaults of -cache-scale, -workloads, -measure, -warmup and -seed
+// are experiments.Quick(). -full and -tiny are mutually exclusive.
+// Sampling changes results (it estimates from the detailed windows only,
+// with confidence intervals in the tables' sampling validation output),
+// so sampled runs are cached separately from detailed ones; but for a
+// fixed sampling configuration results remain bit-identical across
+// -parallel, -sim-threads and -trace-batch.
 //
 // -parallel and -sim-threads spend one shared worker budget (a job costs
 // its thread count), and neither changes any output bit: simulations are
@@ -97,6 +98,21 @@ func sampleOptions(sample bool, windows int, detail, warm uint64) (sim.SampleCon
 	return sc, nil
 }
 
+// fidelityFlags registers the individually-flagged fidelity options —
+// -cache-scale, -workloads, -measure, -warmup and -seed — on fs, with
+// experiments.Quick()'s values as their defaults, and returns the options
+// they parse into.
+func fidelityFlags(fs *flag.FlagSet) *experiments.Options {
+	q := experiments.Quick()
+	o := &experiments.Options{}
+	fs.IntVar(&o.Scale, "cache-scale", q.Scale, "cache scale divisor")
+	fs.IntVar(&o.MaxWorkloads, "workloads", q.MaxWorkloads, "mixes per study (0 = paper counts)")
+	fs.Uint64Var(&o.MeasureInstr, "measure", q.MeasureInstr, "measured instructions per app")
+	fs.Uint64Var(&o.WarmupInstr, "warmup", q.WarmupInstr, "warm-up instructions per app")
+	fs.Uint64Var(&o.Seed, "seed", q.Seed, "experiment seed")
+	return o
+}
+
 // fidelityOptions resolves the fidelity preset flags over the individually-
 // flagged base options. full and tiny are mutually exclusive (previously
 // -tiny silently won the combination). With a preset selected, explicitly-
@@ -146,11 +162,7 @@ func main() {
 		full      = flag.Bool("full", false, "paper-scale fidelity (slow)")
 		tiny      = flag.Bool("tiny", false, "test-scale fidelity (CI smoke)")
 		scaleUp   = flag.Bool("scale", false, "extend -fig 8 to the beyond-paper 32/64/128-core scalability sweep")
-		scale     = flag.Int("cache-scale", 8, "cache scale divisor")
-		workloads = flag.Int("workloads", 20, "mixes per study (0 = paper counts)")
-		measure   = flag.Uint64("measure", 600_000, "measured instructions per app")
-		warmup    = flag.Uint64("warmup", 150_000, "warm-up instructions per app")
-		seed      = flag.Uint64("seed", 42, "experiment seed")
+		base      = fidelityFlags(flag.CommandLine)
 		par       = flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
 		simThr    = flag.Int("sim-threads", 1, "threads inside each simulation (1 = serial, <0 = auto); results are bit-identical for every value")
 		traceBat  = flag.Int("trace-batch", 0, "per-core trace-delivery batch length (0 = default); results are bit-identical for every value — a testing knob for the determinism CI legs")
@@ -183,17 +195,11 @@ func main() {
 	}
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	opt, err := fidelityOptions(experiments.Options{
-		Scale:        *scale,
-		MaxWorkloads: *workloads,
-		WarmupInstr:  *warmup,
-		MeasureInstr: *measure,
-		Seed:         *seed,
-		Parallelism:  *par,
-		SimThreads:   *simThr,
-		TraceBatch:   *traceBat,
-		Sample:       sampleCfg,
-	}, *full, *tiny, explicit)
+	base.Parallelism = *par
+	base.SimThreads = *simThr
+	base.TraceBatch = *traceBat
+	base.Sample = sampleCfg
+	opt, err := fidelityOptions(*base, *full, *tiny, explicit)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paperfig:", err)
 		os.Exit(2)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 
@@ -86,5 +87,19 @@ func TestSampleOptions(t *testing.T) {
 	// Everything off: the zero config (detailed engine).
 	if sc, err = sampleOptions(false, 0, 0, 0); err != nil || sc.Enabled() {
 		t.Errorf("no sampling flags: got %+v, err %v", sc, err)
+	}
+}
+
+// TestFidelityFlagDefaultsAreQuick pins the flag defaults to
+// experiments.Quick(): a run with no fidelity flags is the Quick preset,
+// the budgets at which ADAPT leaves its neutral start.
+func TestFidelityFlagDefaultsAreQuick(t *testing.T) {
+	fs := flag.NewFlagSet("paperfig", flag.ContinueOnError)
+	got := fidelityFlags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if *got != experiments.Quick() {
+		t.Errorf("fidelity flag defaults %+v != experiments.Quick() %+v", *got, experiments.Quick())
 	}
 }

@@ -221,6 +221,14 @@ type Cache struct {
 	hot     HotProfile
 	hotFull HotProfile
 
+	// hintBlock's way (-1 for a miss) as found by the last Lookup, valid
+	// while hintOK: the next Access of hintBlock uses it instead of
+	// scanning the set. Every path that can move a block (Access,
+	// Invalidate) clears hintOK.
+	hintBlock uint64
+	hint      int
+	hintOK    bool
+
 	stats Stats
 }
 
@@ -311,13 +319,13 @@ func (c *Cache) findWay(set int, tag uint64) int {
 	return -1
 }
 
-// Lookup reports whether block is present, without updating any state.
+// Lookup reports whether block is present, without updating any
+// replacement, dirty or statistics state. It remembers the answer, so an
+// Access to the same block that follows does not scan the set again.
 func (c *Cache) Lookup(block uint64) (way int, ok bool) {
-	set, tag := c.SetOf(block), c.TagOf(block)
-	if w := c.findWay(set, tag); w >= 0 {
-		return w, true
-	}
-	return -1, false
+	c.hintBlock, c.hintOK = block, true
+	c.hint = c.findWay(c.SetOf(block), c.TagOf(block))
+	return c.hint, c.hint >= 0
 }
 
 // Access performs a reference: on hit it updates replacement and dirty state;
@@ -337,7 +345,12 @@ func (c *Cache) Access(a *Access) Result {
 		c.stats.DemandAccesses[a.Core]++
 	}
 
-	if w := c.findWay(set, tag); w >= 0 {
+	w := c.hint
+	if !c.hintOK || c.hintBlock != a.Block {
+		w = c.findWay(set, tag)
+	}
+	c.hintOK = false
+	if w >= 0 {
 		res := Result{Hit: true}
 		bit := uint64(1) << uint(w)
 		if a.Demand && c.pref[set]&bit != 0 {
@@ -445,6 +458,7 @@ func (c *Cache) WritebackNoAllocate(a *Access) (hit bool) {
 // Invalidate removes block if present and returns its state, notifying the
 // policy. Used by tests and by non-inclusive hierarchy plumbing.
 func (c *Cache) Invalidate(block uint64) (was Line, ok bool) {
+	c.hintOK = false
 	set, tag := c.SetOf(block), c.TagOf(block)
 	if w := c.findWay(set, tag); w >= 0 {
 		was = c.LineAt(set, w)

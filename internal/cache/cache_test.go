@@ -330,3 +330,44 @@ func TestNewPanicsOnBadInput(t *testing.T) {
 		New(testConfig(64, 8, 2), nil)
 	}()
 }
+
+// TestLookupHintNeverChangesAccess pins the remembered Lookup answer as a
+// pure speed-up: Lookup changes no counter, and an Access after a Lookup —
+// of the same block (hit or miss), of another block, or after the
+// looked-up line was evicted or invalidated — behaves exactly as on a twin
+// cache that never looked anything up.
+func TestLookupHintNeverChangesAccess(t *testing.T) {
+	cfg := testConfig(4, 2, 1)
+	hinted := New(cfg, newFIFO(cfg.Geometry))
+	plain := New(cfg, newFIFO(cfg.Geometry))
+	both := func(b uint64) {
+		t.Helper()
+		a := Access{Block: b, Demand: true}
+		if got, want := hinted.Access(&a), plain.Access(&a); got != want {
+			t.Fatalf("block %d: hinted access %+v != plain %+v", b, got, want)
+		}
+	}
+	both(0)
+	both(4)
+	if _, ok := hinted.Lookup(0); !ok {
+		t.Fatal("block 0 should be resident")
+	}
+	if hinted.Stats().Accesses[0] != 2 {
+		t.Fatalf("Lookup changed the access counter: %d", hinted.Stats().Accesses[0])
+	}
+	both(0) // the hinted block
+	hinted.Lookup(4)
+	both(0) // another block than the hinted one
+	hinted.Lookup(4)
+	both(8) // evicts block 4 (FIFO) from the hinted way
+	both(4) // the hinted block, now a miss
+	hinted.Lookup(8)
+	hinted.Invalidate(8)
+	plain.Invalidate(8)
+	both(8)
+	if _, ok := hinted.Lookup(12); ok {
+		t.Fatal("block 12 should be absent")
+	}
+	both(12) // a remembered miss: fills
+	both(12) // and now hits
+}

@@ -27,7 +27,7 @@ type Config struct {
 	// shared interval under-samples light applications (their footprint
 	// reads near zero regardless of behaviour) exactly as the paper's §3.1
 	// "sizing of this interval is critical" discussion warns. See
-	// DESIGN.md §4 for the full argument.
+	// ARCHITECTURE.md, "Modelling substitutions", for the full argument.
 	GlobalInterval bool
 	// MonitoredSets and ArrayEntries size the Sampler (40 and 16 if zero).
 	MonitoredSets int

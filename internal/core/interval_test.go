@@ -8,7 +8,7 @@ import (
 
 // Tests for the two interval schemes: the primary per-application intervals
 // and the paper-literal global intervals (see Config.GlobalInterval and
-// DESIGN.md §4.3a).
+// ARCHITECTURE.md, "Modelling substitutions").
 
 func TestGlobalIntervalRecomputesEveryone(t *testing.T) {
 	g := adaptGeom(64, 4, 2)

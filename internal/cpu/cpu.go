@@ -12,7 +12,8 @@
 //   - Stores retire through the write buffer and never stall the core
 //     directly (back-pressure appears as memory-system latency instead).
 //
-// See DESIGN.md §1.3 for the substitution argument versus BADCO.
+// See ARCHITECTURE.md, "Modelling substitutions", for the substitution
+// argument versus BADCO.
 package cpu
 
 import (
@@ -27,6 +28,17 @@ import (
 // (internal/sim) route the access through L1/L2/LLC/DRAM.
 type MemSystem interface {
 	Access(core int, now uint64, addr uint64, write bool, pc uint64) (done uint64)
+}
+
+// PrivateProber is the optional MemSystem capability behind run-ahead
+// (see RunBatch): CompletesPrivately reports whether a reference to addr,
+// issued next, would complete inside the core's private hierarchy —
+// without reaching any state another core can observe or change. The
+// answer must depend only on state this core alone mutates, so it stays
+// true until the reference is issued. The implementation may remember the
+// answer to speed up the Access that follows.
+type PrivateProber interface {
+	CompletesPrivately(addr uint64) bool
 }
 
 // FunctionalMem is the timing-free sibling of MemSystem, driven by
@@ -129,6 +141,12 @@ type Core struct {
 	// construction so refills pay no per-batch type assertion; nil means
 	// the scalar fallback loop.
 	genBatch trace.BatchGenerator
+	// probe is mem's PrivateProber capability, captured once at
+	// construction like genBatch; nil disables run-ahead.
+	probe PrivateProber
+	// crossStart is the clock at which the step that ended the last
+	// RunBatch on its retireAt crossing started (see CrossedAt).
+	crossStart uint64
 
 	// Stats.
 	memAccesses uint64
@@ -164,6 +182,7 @@ func New(cfg Config, gen trace.Generator, mem MemSystem) *Core {
 		opNext:   batch, // empty: first Step refills
 	}
 	c.genBatch, _ = gen.(trace.BatchGenerator)
+	c.probe, _ = mem.(PrivateProber)
 	if w := uint64(cfg.Width); w&(w-1) == 0 {
 		c.widthPow2 = true
 		c.widthShift = uint(bits.TrailingZeros64(w))
@@ -292,30 +311,61 @@ func (c *Core) Step() uint64 {
 //
 //   - the clock passes limit: clock > limit, or clock >= limit when
 //     yieldAtTie (the runner-up core wins clock ties, so equality means
-//     this core is no longer first);
+//     this core is no longer first) — unless run-ahead applies, below;
 //   - retireAt > 0 and the retired-instruction count reaches retireAt
-//     (the caller records the crossing point before letting the core run
-//     on);
+//     (the caller records the crossing point, see CrossedAt, before
+//     letting the core run on);
 //   - maxSteps > 0 and exactly maxSteps steps have executed.
+//
+// Run-ahead: the optional ahead argument (at most one value) is an
+// exclusive clock bound for private steps. Past limit the core keeps
+// stepping while its clock is below ahead and its memory system (through
+// the PrivateProber capability) reports that the next reference completes
+// privately: such a step touches no state another core can see, so its
+// position in the global order cannot matter. Omitting ahead, or a memory
+// system without the capability, gives the strict limit rule.
 //
 // Stopping early is always safe: re-invoking with the same conditions
 // continues the identical step sequence, which is what makes simulation
 // results independent of how the caller sizes its batches.
-func (c *Core) RunBatch(limit uint64, yieldAtTie bool, maxSteps int, retireAt uint64) uint64 {
+func (c *Core) RunBatch(limit uint64, yieldAtTie bool, maxSteps int, retireAt uint64, ahead ...uint64) uint64 {
+	aheadAt := uint64(0)
+	if len(ahead) > 0 && c.probe != nil {
+		aheadAt = ahead[0]
+	}
 	steps := 0
 	for {
+		start := c.clock
 		clock := c.Step()
 		if retireAt > 0 && c.retired >= retireAt {
-			return clock
-		}
-		if clock > limit || (yieldAtTie && clock >= limit) {
+			c.crossStart = start
 			return clock
 		}
 		steps++
 		if maxSteps > 0 && steps >= maxSteps {
 			return clock
 		}
+		if clock > limit || (yieldAtTie && clock >= limit) {
+			if clock >= aheadAt || !c.nextPrivate() {
+				return clock
+			}
+		}
 	}
+}
+
+// CrossedAt returns the clock at which the step that ended the most recent
+// RunBatch call on its retireAt crossing started — the crossing's position
+// in the event loop's global (clock, core) order.
+func (c *Core) CrossedAt() uint64 { return c.crossStart }
+
+// nextPrivate reports whether the next op's reference completes privately,
+// refilling the op ring first if it is exhausted (an early refill draws the
+// same ops a later one would).
+func (c *Core) nextPrivate() bool {
+	if c.opNext == len(c.ops) {
+		c.refill()
+	}
+	return c.probe.CompletesPrivately(c.ops[c.opNext].Addr)
 }
 
 // RunFree is the blocking-step sibling of RunBatch, for execution engines

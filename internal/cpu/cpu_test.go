@@ -340,3 +340,39 @@ func TestRunFunctionalSameOpStream(t *testing.T) {
 		}
 	}
 }
+
+// probeMem answers every reference at a fixed latency and reports the
+// blocks below privateBelow as completing privately.
+type probeMem struct {
+	fixedMem
+	privateBelow uint64
+}
+
+func (m *probeMem) CompletesPrivately(addr uint64) bool { return addr < m.privateBelow }
+
+// TestRunBatchRunsAheadOnPrivateSteps pins the run-ahead rule: past limit,
+// RunBatch keeps stepping only while the next reference is private and the
+// clock is below ahead, and without an ahead bound it stops at limit.
+func TestRunBatchRunsAheadOnPrivateSteps(t *testing.T) {
+	// Ops of 4 instructions (one cycle each); the 11th op is not private.
+	ops := make([]trace.Op, 16)
+	for i := range ops {
+		ops[i] = trace.Op{Gap: 3, Addr: uint64(i), Write: true}
+	}
+	newCore := func() *Core {
+		return New(cfg(), &scriptGen{ops: ops}, &probeMem{fixedMem: fixedMem{latency: 1}, privateBelow: 10})
+	}
+	if got := newCore().RunBatch(0, false, 0, 0); got != 1 {
+		t.Errorf("no ahead bound: stopped at clock %d, want 1 (the limit rule)", got)
+	}
+	if got := newCore().RunBatch(0, false, 0, 0, 5); got != 5 {
+		t.Errorf("ahead 5: stopped at clock %d, want 5", got)
+	}
+	if got := newCore().RunBatch(0, false, 0, 0, ^uint64(0)); got != 10 {
+		t.Errorf("unbounded ahead: stopped at clock %d, want 10 (before the first non-private op)", got)
+	}
+	c := newCore()
+	if got := c.RunBatch(0, false, 0, 24, ^uint64(0)); got != 6 || c.CrossedAt() != 5 {
+		t.Errorf("retireAt 24: stopped at clock %d, crossing step started at %d; want 6 and 5", got, c.CrossedAt())
+	}
+}

@@ -13,7 +13,8 @@ type Engine = cache.Engine
 func NewEngine(g cache.Geometry) Engine { return cache.NewEngine(g) }
 
 // NonDemandRRPV is the shared insertion rule for prefetch and write-back
-// fills (see the package comment and DESIGN.md §5).
+// fills (see the package comment and ARCHITECTURE.md, "Modelling
+// substitutions").
 func NonDemandRRPV(a *cache.Access) uint8 {
 	if a.Writeback {
 		return writebackRRPV

@@ -41,11 +41,15 @@ func BenchmarkRunMix4(b *testing.B) {
 	benchRun(b, 4, []string{"calc", "mcf", "libq", "gcc"})
 }
 
+// mix16 is BenchmarkRunMix16's mix, shared with the invariance tests that
+// cover the run-ahead regime it exercises.
+var mix16 = []string{
+	"calc", "mcf", "libq", "gcc", "lbm", "art", "eon", "gob",
+	"milc", "mesa", "STRM", "calc", "mcf", "libq", "gcc", "lbm",
+}
+
 func BenchmarkRunMix16(b *testing.B) {
-	benchRun(b, 16, []string{
-		"calc", "mcf", "libq", "gcc", "lbm", "art", "eon", "gob",
-		"milc", "mesa", "STRM", "calc", "mcf", "libq", "gcc", "lbm",
-	})
+	benchRun(b, 16, mix16)
 }
 
 // benchRunParallel is BenchmarkRunMix16's mix under intra-simulation
@@ -54,10 +58,7 @@ func BenchmarkRunMix16(b *testing.B) {
 // meaningful only on a multi-core host, so read them from the CI artifact
 // (BENCH_sim_parallel.txt), not a laptop on battery or a 1-CPU container.
 func benchRunParallel(b *testing.B, threads int) {
-	benchRunThreads(b, 16, threads, []string{
-		"calc", "mcf", "libq", "gcc", "lbm", "art", "eon", "gob",
-		"milc", "mesa", "STRM", "calc", "mcf", "libq", "gcc", "lbm",
-	})
+	benchRunThreads(b, 16, threads, mix16)
 }
 
 func BenchmarkRunMix16Parallel1(b *testing.B) { benchRunParallel(b, 1) }

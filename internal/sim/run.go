@@ -88,9 +88,10 @@ func (r Result) IPCs() []float64 {
 // (clock, idx) pair order.
 //
 // The loop's access pattern never needs push or pop: the root core runs
-// until it stops being the minimum, so each batch is one root-key update
-// plus one sift-down, and the runner-up — the batch limit — is read
-// directly off the root's children. The System reuses one frontier across
+// until it stops being the minimum (or, running ahead, until its next step
+// needs the global order), so each batch is one root-key update plus one
+// sift-down, and the runner-up — the batch limit — is read directly off
+// the root's children. The System reuses one frontier across
 // runUntilRetired calls (reset keeps the backing array), keeping the
 // measured loop allocation-free.
 type frontier struct {
@@ -109,7 +110,7 @@ func (h *frontier) reset(n int) {
 
 // add appends a core before the first build; build establishes the heap.
 func (h *frontier) add(clock uint64, idx int) {
-	h.key = append(h.key, clock<<h.shift|uint64(idx))
+	h.key = append(h.key, h.pack(clock, idx))
 }
 
 func (h *frontier) build() {
@@ -118,19 +119,31 @@ func (h *frontier) build() {
 	}
 }
 
+// pack returns the key of core idx at clock.
+func (h *frontier) pack(clock uint64, idx int) uint64 { return clock<<h.shift | uint64(idx) }
+
+// clockOf returns the clock field of key.
+func (h *frontier) clockOf(key uint64) uint64 { return key >> h.shift }
+
+// idxOf returns the core-index field of key.
+func (h *frontier) idxOf(key uint64) int { return int(key & h.mask) }
+
+// clockBelow returns the exclusive clock bound under which core idx's keys
+// stay below key: (clock, idx) < key exactly when clock < clockBelow.
+func (h *frontier) clockBelow(key uint64, idx int) uint64 {
+	if idx < h.idxOf(key) {
+		return h.clockOf(key) + 1
+	}
+	return h.clockOf(key)
+}
+
 // rootIdx returns the core index at the heap root.
-func (h *frontier) rootIdx() int { return int(h.key[0] & h.mask) }
-
-// clockAt returns the clock stored in heap slot i.
-func (h *frontier) clockAt(i int) uint64 { return h.key[i] >> h.shift }
-
-// idxAt returns the core index stored in heap slot i.
-func (h *frontier) idxAt(i int) int { return int(h.key[i] & h.mask) }
+func (h *frontier) rootIdx() int { return h.idxOf(h.key[0]) }
 
 // updateRoot replaces the root's clock (it only ever grows) and restores
 // heap order.
 func (h *frontier) updateRoot(clock uint64) {
-	h.key[0] = clock<<h.shift | h.key[0]&h.mask
+	h.key[0] = h.pack(clock, h.rootIdx())
 	h.siftDown(0)
 }
 
@@ -175,14 +188,15 @@ func (h *frontier) runnerUp() int {
 // Any value yields bit-identical Results — see TestParallelInvariance.
 func (s *System) SetParallel(n int) { s.threads = n }
 
-// SetMaxBatch caps how many steps a core may execute per event-loop batch.
-// Zero (the default) is adaptive: a batch is bounded only by the inter-core
-// slack — the core runs exactly until it stops being the globally earliest
-// runnable core — which is both the fastest and the largest safe batch.
+// SetMaxBatch caps how many steps a core may execute per event-loop batch,
+// run-ahead steps included. Zero (the default) is adaptive: a batch is
+// bounded only by the inter-core slack and the run-ahead rule (see
+// runUntilRetired), which is both the fastest and the largest safe batch.
 // The cap exists for tests proving batch invariance: any positive value
-// yields bit-identical results to any other, because a capped batch simply
-// re-proves the same core is still earliest and continues the identical
-// step sequence.
+// yields bit-identical results to any other. A cap of 1 makes every batch
+// one step of the globally earliest core, so it never runs ahead: it is
+// the strict (clock, core-index) order oracle the other values are checked
+// against.
 func (s *System) SetMaxBatch(n int) { s.maxBatch = n }
 
 // runUntilRetired advances cores in global-clock order until each has
@@ -191,13 +205,37 @@ func (s *System) SetMaxBatch(n int) { s.maxBatch = n }
 // the first time it crosses the target; cores keep running (to preserve
 // interference) until every core has crossed.
 //
-// Ordering contract: cores execute steps in strictly increasing
-// (clock, core-index) order — the core with the smallest local clock steps
-// next, and clock ties go to the smaller core index. Batching never relaxes
-// this: a core batches steps exactly while it would still be chosen by that
-// rule (its clock stays below the runner-up's, or equal with a smaller
-// index). The executed step sequence — and therefore every Result bit — is
-// thus independent of batch size; see TestBatchInvariance.
+// Ordering contract: the reference semantics execute steps in strictly
+// increasing (clock, core-index) order — the core with the smallest local
+// clock steps next, clock ties go to the smaller core index — and stop
+// after the step at which the last core crosses the target. Every step that
+// reaches the Substrate runs in that order: a core batches such steps
+// exactly while it would still be chosen by the rule (its clock stays below
+// the runner-up's, or equal with a smaller index).
+//
+// Run-ahead: a step whose reference hits the core's private L1 makes no
+// Substrate call, so its position in the global order cannot matter, and
+// the root core keeps stepping past the runner-up while its next reference
+// is such a hit. What must not change is the set of executed steps, which
+// three rules preserve:
+//
+//   - a core short of the target may run ahead up to its own crossing,
+//     since the reference semantics execute every one of those steps;
+//   - a core past the target (a contention runner) may run ahead only
+//     while its step's start key stays below bound, the largest key any
+//     core short of the target has held or crossed at: each such key is at
+//     most that core's crossing key, so bound never exceeds the key of the
+//     final crossing, and the reference semantics execute every step below
+//     that key;
+//   - once every core has crossed, bound is exactly the largest crossing
+//     start key, where the reference loop stops, and a catch-up phase
+//     advances every core until its key reaches it. The crossing that
+//     happened last in real time is not the one: a core that ran ahead can
+//     cross at a larger key than a core that crosses after it.
+//
+// The executed step sequence, and therefore every Result bit, is thus
+// independent of batch size; see TestBatchInvariance and
+// FuzzBatchInvariance.
 func (s *System) runUntilRetired(target uint64, freezeCycles, freezeInstr []uint64) {
 	if t := s.effectiveThreads(); t > 1 {
 		s.runParallel(t, target, freezeCycles, freezeInstr)
@@ -216,52 +254,53 @@ func (s *System) runUntilRetired(target uint64, freezeCycles, freezeInstr []uint
 	// Participants: every core joins the frontier. Cores already at or past
 	// the target — at entry (sampled-mode windows re-enter with fast cores
 	// ahead of the next boundary) or crossing mid-run — are recorded
-	// immediately but keep executing in clock order (to preserve contention)
-	// until every core short of the target has crossed. The frontier and
-	// done scratch live on the System so steady-state calls (one per
-	// measurement window, or per step of the allocation gate) allocate
-	// nothing.
+	// immediately but keep executing (to preserve contention) until every
+	// core short of the target has crossed. The frontier and done scratch
+	// live on the System so steady-state calls (one per measurement window,
+	// or per step of the allocation gate) allocate nothing.
 	h := &s.frontier
 	h.reset(n)
 	if len(s.doneScratch) < n {
 		s.doneScratch = make([]bool, n)
 	}
 	done := s.doneScratch[:n]
-	for i := range done {
-		done[i] = false
-	}
+	var bound uint64 // packed key; see the run-ahead rules above
 	remaining := 0
 	for i, c := range s.cores {
-		if c.Retired() >= target {
-			done[i] = true
+		done[i] = c.Retired() >= target
+		if done[i] {
 			record(i)
 		} else {
 			remaining++
+			bound = max(bound, h.pack(c.Clock(), i))
 		}
 		h.add(c.Clock(), i)
 	}
 	h.build()
 
 	const noLimit = ^uint64(0)
-	for remaining > 0 {
+	for remaining > 0 || h.key[0] < bound {
 		best := h.rootIdx()
-		limit, yieldAtTie := noLimit, false
-		if ru := h.runnerUp(); ru >= 0 {
-			limit = h.clockAt(ru)
-			yieldAtTie = h.idxAt(ru) < best
-		}
-		retireAt := uint64(0)
-		if !done[best] {
-			retireAt = target
-		}
-
 		c := s.cores[best]
-		h.updateRoot(c.RunBatch(limit, yieldAtTie, s.maxBatch, retireAt))
-		if !done[best] && c.Retired() >= target {
+		lim := noLimit // packed key the root's ordered steps stay below
+		if ru := h.runnerUp(); ru >= 0 {
+			lim = h.key[ru]
+		}
+		if done[best] {
+			lim = min(lim, bound)
+			h.updateRoot(c.RunBatch(h.clockOf(lim), h.idxOf(lim) < best, s.maxBatch, 0, h.clockBelow(bound, best)))
+			continue
+		}
+		clock := c.RunBatch(h.clockOf(lim), h.idxOf(lim) < best, s.maxBatch, target, noLimit)
+		key := h.pack(clock, best)
+		if c.Retired() >= target {
 			done[best] = true
 			remaining--
 			record(best)
+			key = h.pack(c.CrossedAt(), best)
 		}
+		bound = max(bound, key)
+		h.updateRoot(clock)
 	}
 }
 

@@ -210,6 +210,16 @@ func (p *corePath) Access(_ int, now uint64, addr uint64, write bool, pc uint64)
 	return p.access(now, addr, write, pc, true)
 }
 
+// CompletesPrivately implements cpu.PrivateProber: a reference that hits
+// the L1 makes no Substrate call (a hit evicts nothing and never prefetches),
+// so the serial loop may run it outside the global order. The L1 belongs to
+// this core alone, so the answer holds until the core issues the
+// reference, and the lookup's answer is reused by that access.
+func (p *corePath) CompletesPrivately(addr uint64) bool {
+	_, hit := p.l1.Lookup(addr)
+	return hit
+}
+
 // access walks the private hierarchy and, on an L2 miss, crosses into the
 // substrate. Everything it touches before p.sub is per-core state: that is
 // the independence property the parallel engine relies on, so a change that

@@ -1,6 +1,7 @@
 // Package trace generates the synthetic memory reference streams that stand
-// in for the paper's SPEC 2000/2006, PARSEC and STREAM traces (see DESIGN.md
-// §1.4 for the substitution argument).
+// in for the paper's SPEC 2000/2006, PARSEC and STREAM traces (see
+// ARCHITECTURE.md, "Modelling substitutions", for the substitution
+// argument).
 //
 // Generators emit an infinite stream of Ops: a count of non-memory
 // instructions (Gap) followed by one memory reference at block granularity.

@@ -4,7 +4,8 @@
 # Fails on:
 #   1. gofmt or go vet regressions (the doc-adjacent baseline),
 #   2. exported top-level Go identifiers with no doc comment,
-#   3. relative markdown links that do not resolve to a file in the repo.
+#   3. relative markdown links that do not resolve to a file in the repo,
+#   4. markdown files named in Go comments that do not exist.
 #
 # Pure POSIX sh + awk so it runs identically locally and in CI.
 set -eu
@@ -77,8 +78,36 @@ if [ -f /tmp/docs_check_broken.$$ ]; then
 	fail=1
 fi
 
+# --- 4. markdown references in Go comments --------------------------------
+# A Go comment line that names a markdown file ("see ARCHITECTURE.md") must
+# name one that exists next to the Go file or at the repo root. Absolute
+# paths and URLs are skipped.
+refs=$(git ls-files --cached --others --exclude-standard '*.go' | while read -r f; do
+	awk -v FILE="$f" '
+	/^[ \t]*\/\// {
+		line = $0
+		while (match(line, /[A-Za-z0-9_.\/-]+\.md([^A-Za-z0-9_]|$)/)) {
+			ref = substr(line, RSTART, RLENGTH)
+			line = substr(line, RSTART + RLENGTH)
+			sub(/[^A-Za-z0-9_]$/, "", ref)
+			if (ref ~ /^\//) continue
+			print FILE "\t" ref
+		}
+	}' "$f"
+done)
+missing=$(echo "$refs" | while IFS="$(printf '\t')" read -r src ref; do
+	[ -z "$ref" ] && continue
+	if [ ! -e "$(dirname "$src")/$ref" ] && [ ! -e "$ref" ]; then
+		echo "docs-check: $src names $ref, which does not exist"
+	fi
+done)
+if [ -n "$missing" ]; then
+	echo "$missing"
+	fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
 	echo "docs-check: FAILED"
 	exit 1
 fi
-echo "docs-check: OK (gofmt, vet, godoc conventions, markdown links)"
+echo "docs-check: OK (gofmt, vet, godoc conventions, markdown links, .md references in Go comments)"
