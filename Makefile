@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race test-race-sim fuzz-smoke lint vet fmt-check docs-check bench bench-smoke serve-smoke allocs-gate paperfig ci clean
+.PHONY: all build test test-race test-race-sched fuzz-smoke lint vet fmt-check docs-check bench bench-smoke serve-smoke allocs-gate paperfig ci clean
 
 all: build
 
@@ -16,21 +16,20 @@ test:
 test-race:
 	$(GO) test -short -race ./...
 
-# Full (not -short) race pass over the packages where real threads share a
-# simulation: the parallel engine (including the helper-drained substrate
-# gate and the per-bank DRAM shards), and the scheduler's weighted pool.
-# The second run re-executes the streaming-heavy gate tests a few times:
-# helper-draining only fires when cores actually park, so more schedules
-# mean more park/help/wake handoffs under the race detector.
-test-race-sim:
-	$(GO) test -race -count=1 ./internal/sim/... ./internal/schedule/...
-	$(GO) test -race -count=3 -run 'TestParallelHelperDrainStreaming|TestParallelInvariance' ./internal/sim
+# Full (not -short) race pass over the packages with real concurrency: the
+# scheduler (singleflight, worker pool, store maintenance) and the serving
+# layer on top of it. A simulation itself runs on one goroutine.
+test-race-sched:
+	$(GO) test -race -count=1 ./internal/schedule/... ./internal/serve/...
 
-# Short fuzzing pass of the event loop against its strict-order oracle:
-# random mixes, policies, budgets, sampled or detailed fidelity and batch
-# caps must reproduce the maxBatch=1 result fingerprint bit for bit.
+# Short fuzzing passes: the event loop against its strict-order oracle
+# (random mixes, policies, budgets, sampled or detailed fidelity and batch
+# caps must reproduce the maxBatch=1 result fingerprint bit for bit), and
+# sim.Config.Validate against New and a tiny Run (every config it accepts
+# must build and run without panicking).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchInvariance$$' -fuzztime 20s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzConfigValidate$$' -fuzztime 10s ./internal/sim
 
 vet:
 	$(GO) vet ./...
@@ -57,10 +56,8 @@ bench:
 # through the shared scheduler and emit the structured artifact CI uploads
 # as the perf trajectory (BENCH_*.json), plus one-shot benchmarks
 # (-benchtime 1x: a smoke that the benches run, not a timing claim):
-# BENCH_policy_victim.txt for the policy layer, and BENCH_sim_substrate.txt
-# for the substrate — the Mix16 and streaming Mix16 parallel runs whose
-# Parallel{4,8}-vs-Parallel1 deltas track the helper-drained, per-bank-
-# sharded substrate across commits. BENCH_sampling.json carries the
+# BENCH_policy_victim.txt for the policy layer, and BENCH_hotpath.json for
+# the Mix16 core loop and victim selection. BENCH_sampling.json carries the
 # sampled-fidelity headline (speedup + ipc-err-pct vs the detailed
 # reference at paper-scale budgets) as custom benchmark metrics.
 bench-smoke: build
@@ -68,8 +65,6 @@ bench-smoke: build
 	$(GO) run ./cmd/paperfig -fig 6 -tiny -stats -cache-dir .simcache -json BENCH_paperfig_fig6.json
 	$(GO) test -bench 'Victim|FillChurn' -benchtime 1x -run '^$$' ./internal/policy > BENCH_policy_victim.txt || { cat BENCH_policy_victim.txt; exit 1; }
 	cat BENCH_policy_victim.txt
-	$(GO) test -bench 'RunMix16' -benchtime 1x -run '^$$' ./internal/sim > BENCH_sim_substrate.txt || { cat BENCH_sim_substrate.txt; exit 1; }
-	cat BENCH_sim_substrate.txt
 	$(GO) test -bench 'RunMix16$$' -benchmem -benchtime 1x -run '^$$' ./internal/sim > BENCH_hotpath.txt || { cat BENCH_hotpath.txt; exit 1; }
 	$(GO) test -bench 'Victim$$|VictimDistant$$|VictimAllWays$$' -benchmem -benchtime 1x -run '^$$' ./internal/policy >> BENCH_hotpath.txt || { cat BENCH_hotpath.txt; exit 1; }
 	cat BENCH_hotpath.txt

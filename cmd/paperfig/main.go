@@ -22,8 +22,6 @@
 //	-warmup N        instructions/app warmed up    (default 200000)
 //	-seed N          experiment seed               (default 42)
 //	-parallel N      concurrent simulations        (default GOMAXPROCS)
-//	-sim-threads N   threads inside each sim       (default 1; <0 = auto)
-//	-trace-batch N   per-core trace batch length   (default 0 = built-in)
 //
 // Sampled fidelity (SMARTS-style periodic sampling):
 //
@@ -39,15 +37,11 @@
 // with confidence intervals in the tables' sampling validation output),
 // so sampled runs are cached separately from detailed ones; but for a
 // fixed sampling configuration results remain bit-identical across
-// -parallel, -sim-threads and -trace-batch.
+// -parallel values.
 //
-// -parallel and -sim-threads spend one shared worker budget (a job costs
-// its thread count), and neither changes any output bit: simulations are
-// deterministic and the intra-simulation engine is provably
-// order-preserving, so both knobs are pure wall-clock trades.
-// -trace-batch is likewise bit-identical for every value (batched trace
-// delivery emits the exact scalar op stream); it exists so the CI
-// determinism job can diff batch lengths, not for tuning.
+// Each simulation runs on one thread; -parallel sets how many run at once.
+// It changes no output bit: simulations are deterministic, so it is a
+// pure wall-clock trade.
 //
 // Output and caching flags:
 //
@@ -117,7 +111,7 @@ func fidelityFlags(fs *flag.FlagSet) *experiments.Options {
 // flagged base options. full and tiny are mutually exclusive (previously
 // -tiny silently won the combination). With a preset selected, explicitly-
 // passed fidelity flags still override it (e.g. `-tiny -seed 7` is Tiny at
-// seed 7); execution knobs and the sampling axis always carry over, since
+// seed 7); -parallel and the sampling axis always carry over, since
 // presets say nothing about them.
 func fidelityOptions(base experiments.Options, full, tiny bool, explicit map[string]bool) (experiments.Options, error) {
 	if full && tiny {
@@ -131,8 +125,6 @@ func fidelityOptions(base experiments.Options, full, tiny bool, explicit map[str
 		preset = experiments.Tiny()
 	}
 	preset.Parallelism = base.Parallelism
-	preset.SimThreads = base.SimThreads
-	preset.TraceBatch = base.TraceBatch
 	preset.Sample = base.Sample
 	if explicit["cache-scale"] {
 		preset.Scale = base.Scale
@@ -164,8 +156,6 @@ func main() {
 		scaleUp   = flag.Bool("scale", false, "extend -fig 8 to the beyond-paper 32/64/128-core scalability sweep")
 		base      = fidelityFlags(flag.CommandLine)
 		par       = flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
-		simThr    = flag.Int("sim-threads", 1, "threads inside each simulation (1 = serial, <0 = auto); results are bit-identical for every value")
-		traceBat  = flag.Int("trace-batch", 0, "per-core trace-delivery batch length (0 = default); results are bit-identical for every value — a testing knob for the determinism CI legs")
 		sample    = flag.Bool("sample", false, "sampled fidelity: SMARTS-style detailed windows + deterministic functional warming")
 		sampleWin = flag.Int("sample-windows", 0, "detailed measurement windows per app (0 = default 20; implies -sample)")
 		sampleDet = flag.Uint64("sample-detail", 0, "detailed instructions per measurement window (0 = budget-derived)")
@@ -196,8 +186,6 @@ func main() {
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	base.Parallelism = *par
-	base.SimThreads = *simThr
-	base.TraceBatch = *traceBat
 	base.Sample = sampleCfg
 	opt, err := fidelityOptions(*base, *full, *tiny, explicit)
 	if err != nil {

@@ -16,7 +16,7 @@
 //	-cache-dir DIR        segment store root        (default .simcache, "" = off)
 //	-cache-max-bytes N    store size cap            (default 2 GiB, <0 = uncapped)
 //	-mem-budget N         in-memory tier bytes      (default 256 MiB)
-//	-parallel N           scheduler worker width    (default GOMAXPROCS)
+//	-parallel N           scheduler worker pool     (default GOMAXPROCS)
 //	-maintain-every DUR   periodic store grooming   (default 1h, 0 = startup only)
 //	-drain-timeout DUR    graceful shutdown budget  (default 2m)
 //
@@ -48,7 +48,7 @@ func main() {
 		cacheDir      = flag.String("cache-dir", schedule.DefaultCacheDir, "on-disk segment store root (empty disables the disk tier)")
 		cacheMaxBytes = flag.Int64("cache-max-bytes", serve.DefaultStoreMaxBytes, "store size cap enforced during maintenance (<0 = uncapped)")
 		memBudget     = flag.Int64("mem-budget", schedule.DefaultMemBudget, "in-memory result tier byte budget")
-		parallel      = flag.Int("parallel", 0, "scheduler worker pool width (0 = GOMAXPROCS)")
+		parallel      = flag.Int("parallel", 0, "scheduler worker pool size (0 = GOMAXPROCS)")
 		maintainEvery = flag.Duration("maintain-every", time.Hour, "periodic store maintenance interval (0 = startup pass only)")
 		drainTimeout  = flag.Duration("drain-timeout", 2*time.Minute, "graceful shutdown budget for in-flight requests")
 	)

@@ -16,15 +16,14 @@
 // # Online classification
 //
 // The classifier consumes only counters that are updated at the shared
-// substrate's globally-ordered arbiter/LLC phase (see internal/sim): per-app
+// substrate's globally-ordered LLC lookups (see internal/sim): per-app
 // LLC demand accesses and misses, a sequential-stride detector over the
-// app's own LLC-visible block stream (the phase-1 proxy for DRAM row-buffer
+// app's own LLC-visible block stream (the LLC-side proxy for DRAM row-buffer
 // locality — near-sequential LLC misses are exactly the accesses that land
 // in an open DRAM row), and the app's arbiter queueing delays bucketed as in
 // arbiter.WaitHist. Every Observe call and every reclassification therefore
 // happens at a fixed point of the (clock, core-index) total order, which is
-// what keeps clustered runs bit-identical across -sim-threads and batch
-// caps. Instruction counts are deliberately NOT used online: another core's
+// what keeps clustered runs bit-identical across batch caps. Instruction counts are deliberately NOT used online: another core's
 // retired-instruction counter is private state with no defined value at a
 // substrate call, so online rates are per-access and per-epoch, never
 // per-kilo-instruction; the true MPKI-based fairness accounting happens
@@ -220,7 +219,7 @@ func (c Config) resolve(blocks int) Config {
 
 // profile is one application's epoch counters. Everything here is written
 // only by Observe calls for that application, which the substrate issues in
-// the global phase-1 order — so any later read (a reclassification, a final
+// the event loop's global order — so any later read (a reclassification, a final
 // snapshot) sees a deterministic value.
 type profile struct {
 	accesses uint64 // LLC demand accesses this epoch
@@ -232,9 +231,8 @@ type profile struct {
 }
 
 // Manager is the clustering controller for one simulated machine. It is
-// driven exclusively from the substrate's globally-ordered arbiter/LLC
-// phase (one Observe per LLC demand access) and is therefore deliberately
-// NOT safe for concurrent use: the phase-1 order gate is its lock.
+// driven exclusively from the substrate's globally-ordered LLC lookups (one
+// Observe per LLC demand access) and is not safe for concurrent use.
 type Manager struct {
 	cfg   Config
 	cores int

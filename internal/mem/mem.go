@@ -25,10 +25,7 @@
 //     property of the reservation timeline, not of presentation order.
 //
 // All bank state — timeline, row track, counters — is per bank and
-// self-contained, so Access calls that target *different* banks may run
-// concurrently; calls for the same bank must be serialized by the caller
-// (the simulator's substrate shards do exactly that). Stats/BankStats/
-// ResetStats must not run concurrently with any Access.
+// self-contained. A DDR2 is not safe for concurrent use.
 package mem
 
 import (

@@ -6,10 +6,8 @@
 // baseline runs shared by Figures 1/3/6/8 and Table 7 — execute exactly
 // once per process and optionally once per machine.
 //
-// Jobs have width: a simulation that runs intra-simulation threads
-// (sim.Config.Threads) occupies that many workers while it executes, so
-// sim-level fan-out and per-sim threads spend one bounded budget instead
-// of multiplying into GOMAXPROCS oversubscription.
+// Each job is one simulation on one goroutine, so it occupies exactly one
+// pool worker while it executes.
 //
 // The scheduler has three cooperating mechanisms:
 //
@@ -26,7 +24,7 @@
 // The scheduler is serving-grade: internal/serve runs it inside the
 // long-lived paperfigd server, so flights execute on their own goroutine
 // and always settle — a panicking job becomes an error result (never a
-// wedged key or a leaked pool width), and any caller, including the one
+// wedged key or a leaked pool worker), and any caller, including the one
 // that created the flight, can abandon the wait through RunContext's
 // context without killing the execution. Abandoned flights run to
 // completion and populate the store for the next requester.
@@ -124,13 +122,6 @@ func (j Job) run() sim.Result {
 	return sim.NewFromNames(j.Config, j.Names).Run(j.Warmup, j.Measure)
 }
 
-// width is how many pool workers the job occupies while executing: its
-// effective intra-simulation thread count. Width is an execution property,
-// not an identity one — like Segment it deliberately stays out of Key().
-func (j Job) width() int {
-	return j.Config.EffectiveThreads()
-}
-
 // Stats counts scheduler traffic. Hits()>0 across two harnesses proves the
 // grids overlap and the dedup machinery is earning its keep.
 type Stats struct {
@@ -187,13 +178,11 @@ type Gauges struct {
 	// InflightFlights is the number of keys currently executing or queued
 	// as singleflight leaders.
 	InflightFlights int `json:"inflight_flights"`
-	// PoolCap / PoolBusy are the worker pool's total and claimed width.
+	// PoolCap / PoolBusy are the worker pool's total and claimed workers.
 	PoolCap  int `json:"pool_cap"`
 	PoolBusy int `json:"pool_busy"`
-	// QueueDepth / QueuedWidth count jobs (and their summed width) waiting
-	// for pool admission.
-	QueueDepth  int `json:"queue_depth"`
-	QueuedWidth int `json:"queued_width"`
+	// QueueDepth counts jobs waiting for pool admission.
+	QueueDepth int `json:"queue_depth"`
 	// MemEntries / MemBytes / MemBudget describe the in-memory LRU tier.
 	MemEntries int   `json:"mem_entries"`
 	MemBytes   int64 `json:"mem_bytes"`
@@ -232,79 +221,55 @@ type flight struct {
 	err  error
 }
 
-// poolWaiter is one job queued for pool admission.
-type poolWaiter struct {
-	n     int
-	ready chan struct{}
-}
-
-// widthPool is the scheduler's weighted worker budget. Jobs are no longer
-// uniformly one goroutine wide: a simulation may run several
-// intra-simulation threads (sim.Config.Threads), and admitting jobs by
-// count alone would oversubscribe GOMAXPROCS by the mean thread count.
-// The pool therefore grants each job its width in workers; outer sim-level
-// fan-out and inner per-sim threads spend one shared budget.
-//
-// Admission is strict FIFO: a wide job at the head of the queue is never
-// starved by a stream of narrow latecomers (the serving workload makes
-// that a real possibility, not a theoretical one).
-type widthPool struct {
+// workerPool is the scheduler's bounded worker budget: at most cap jobs
+// execute at once. Admission is strict FIFO, so under the serving workload
+// an early request is never starved by a stream of latecomers.
+type workerPool struct {
 	mu      sync.Mutex
 	cap     int
 	avail   int // may go negative transiently after a shrinking resize
-	waiters []*poolWaiter
+	waiters []chan struct{}
 }
 
-func newWidthPool(capacity int) *widthPool {
-	return &widthPool{cap: capacity, avail: capacity}
+func newWorkerPool(capacity int) *workerPool {
+	return &workerPool{cap: capacity, avail: capacity}
 }
 
-// acquire blocks until n workers are free and claims them, returning the
-// granted width. Requests wider than the whole pool clamp to it (a
-// 128-core auto-threaded job on an 8-way pool runs 8 threads' worth of
-// budget, not never), so acquire cannot deadlock.
-func (p *widthPool) acquire(n int) int {
-	if n < 1 {
-		n = 1
-	}
+// acquire blocks until a worker is free and claims it.
+func (p *workerPool) acquire() {
 	p.mu.Lock()
-	if n > p.cap {
-		n = p.cap
-	}
-	if len(p.waiters) == 0 && p.avail >= n {
-		p.avail -= n
+	if len(p.waiters) == 0 && p.avail > 0 {
+		p.avail--
 		p.mu.Unlock()
-		return n
+		return
 	}
-	w := &poolWaiter{n: n, ready: make(chan struct{})}
-	p.waiters = append(p.waiters, w)
+	ready := make(chan struct{})
+	p.waiters = append(p.waiters, ready)
 	p.mu.Unlock()
-	<-w.ready
-	return n
+	<-ready
 }
 
-func (p *widthPool) release(n int) {
+func (p *workerPool) release() {
 	p.mu.Lock()
-	p.avail += n
+	p.avail++
 	p.grantLocked()
 	p.mu.Unlock()
 }
 
-// grantLocked admits queued jobs from the head while they fit. Called with
-// p.mu held.
-func (p *widthPool) grantLocked() {
-	for len(p.waiters) > 0 && p.avail >= p.waiters[0].n {
-		w := p.waiters[0]
+// grantLocked admits queued jobs from the head while workers are free.
+// Called with p.mu held.
+func (p *workerPool) grantLocked() {
+	for len(p.waiters) > 0 && p.avail > 0 {
+		close(p.waiters[0])
 		p.waiters = p.waiters[1:]
-		p.avail -= w.n
-		close(w.ready)
+		p.avail--
 	}
 }
 
 // resize changes the pool capacity in place. Growing admits queued jobs
 // immediately; shrinking lets in-flight jobs finish (avail goes negative
-// until enough width is released) without cancelling anything.
-func (p *widthPool) resize(capacity int) {
+// until enough workers are released) without cancelling anything.
+func (p *workerPool) resize(capacity int) {
 	p.mu.Lock()
 	p.avail += capacity - p.cap
 	p.cap = capacity
@@ -312,14 +277,11 @@ func (p *widthPool) resize(capacity int) {
 	p.mu.Unlock()
 }
 
-// gauges reports (cap, busy, queued jobs, queued width).
-func (p *widthPool) gauges() (capacity, busy, queued, queuedWidth int) {
+// gauges reports (cap, busy, queued jobs).
+func (p *workerPool) gauges() (capacity, busy, queued int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, w := range p.waiters {
-		queuedWidth += w.n
-	}
-	return p.cap, p.cap - p.avail, len(p.waiters), queuedWidth
+	return p.cap, p.cap - p.avail, len(p.waiters)
 }
 
 // memEntry is one in-memory cached result plus its LRU accounting.
@@ -332,7 +294,7 @@ type memEntry struct {
 // Scheduler is a bounded, memoizing simulation executor. The zero value is
 // not usable; use New or Shared.
 type Scheduler struct {
-	pool *widthPool // weighted worker budget; see widthPool
+	pool *workerPool
 
 	mu       sync.Mutex
 	runFn    func(Job) sim.Result // execution seam; see SetRunFn
@@ -357,7 +319,7 @@ func New(workers int) *Scheduler {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Scheduler{
-		pool:        newWidthPool(workers),
+		pool:        newWorkerPool(workers),
 		runFn:       Job.run,
 		memIndex:    map[string]*list.Element{},
 		memLRU:      list.New(),
@@ -419,9 +381,9 @@ func (s *Scheduler) SetMemBudget(max int64) {
 	s.mu.Unlock()
 }
 
-// SetPoolSize changes the worker-pool width at runtime (<=0 means
+// SetPoolSize changes the worker-pool size at runtime (<=0 means
 // GOMAXPROCS). Shrinking never cancels running jobs; it just delays new
-// admissions until enough width drains.
+// admissions until enough of them finish.
 func (s *Scheduler) SetPoolSize(workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -448,7 +410,7 @@ func (s *Scheduler) Stats() Stats {
 
 // Gauges returns a snapshot of the scheduler's live state.
 func (s *Scheduler) Gauges() Gauges {
-	capacity, busy, queued, queuedWidth := s.pool.gauges()
+	capacity, busy, queued := s.pool.gauges()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Gauges{
@@ -456,7 +418,6 @@ func (s *Scheduler) Gauges() Gauges {
 		PoolCap:         capacity,
 		PoolBusy:        busy,
 		QueueDepth:      queued,
-		QueuedWidth:     queuedWidth,
 		MemEntries:      s.memLRU.Len(),
 		MemBytes:        s.memBytes,
 		MemBudget:       s.memMax,
@@ -474,7 +435,7 @@ func (s *Scheduler) WaitIdle(ctx context.Context) error {
 		s.mu.Lock()
 		flights := len(s.inflight)
 		s.mu.Unlock()
-		_, busy, queued, _ := s.pool.gauges()
+		_, busy, queued := s.pool.gauges()
 		if flights == 0 && busy == 0 && queued == 0 {
 			return nil
 		}
@@ -578,11 +539,11 @@ func (s *Scheduler) lead(key string, j Job, f *flight, disk *diskCache) {
 }
 
 // execute runs the job under the pool. The deferred release returns the
-// granted width even when runFn panics; the panic itself is converted to a
+// worker even when runFn panics; the panic itself is converted to a
 // *PanicError so callers and flights see an error, not a crash.
 func (s *Scheduler) execute(key string, j Job) (res sim.Result, err error) {
-	granted := s.pool.acquire(j.width())
-	defer s.pool.release(granted)
+	s.pool.acquire()
+	defer s.pool.release()
 	defer func() {
 		if p := recover(); p != nil {
 			err = &PanicError{Key: key, Value: p, Stack: string(debug.Stack())}
@@ -598,7 +559,7 @@ func (s *Scheduler) execute(key string, j Job) (res sim.Result, err error) {
 // the store or the singleflight table. It exists for jobs whose outputs
 // escape through config hooks: memoizing them would return a Result while
 // silently skipping the side effects the caller actually wants. A
-// panicking job releases its pool width, is counted in Stats.Panics, and
+// panicking job releases its pool worker, is counted in Stats.Panics, and
 // re-panics as *PanicError on the caller's goroutine.
 func (s *Scheduler) RunUncached(j Job) sim.Result {
 	s.count(func(st *Stats) { st.Submitted++; st.Uncached++ })

@@ -122,17 +122,14 @@ func TestRunSingleflight(t *testing.T) {
 	}
 }
 
-// TestPoolBudgetsJobWidth proves the pool charges jobs their
-// intra-simulation thread count: on a 4-worker pool, 2-thread jobs may run
-// at most two at a time, and the in-flight thread total never exceeds the
-// budget. Without width accounting, eight 2-thread jobs would oversubscribe
-// the pool 4x.
-func TestPoolBudgetsJobWidth(t *testing.T) {
-	s := New(4)
+// TestPoolBoundsConcurrency proves the pool admits at most its capacity:
+// on a 2-worker pool, eight distinct jobs never run more than two at a
+// time.
+func TestPoolBoundsConcurrency(t *testing.T) {
+	s := New(2)
 	var inFlight, maxInFlight atomic.Int64
 	s.runFn = func(j Job) sim.Result {
-		width := int64(j.width())
-		now := inFlight.Add(width)
+		now := inFlight.Add(1)
 		for {
 			max := maxInFlight.Load()
 			if now <= max || maxInFlight.CompareAndSwap(max, now) {
@@ -140,7 +137,7 @@ func TestPoolBudgetsJobWidth(t *testing.T) {
 			}
 		}
 		time.Sleep(2 * time.Millisecond)
-		inFlight.Add(-width)
+		inFlight.Add(-1)
 		return fakeRun(1)(j)
 	}
 
@@ -149,36 +146,12 @@ func TestPoolBudgetsJobWidth(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			j := testJob(uint64(100 + i)) // distinct keys: no dedup
-			j.Config.Threads = 2
-			if got := j.width(); got != 2 {
-				t.Errorf("job width = %d, want 2", got)
-			}
-			s.RunUncached(j)
+			s.RunUncached(testJob(uint64(100 + i))) // distinct keys: no dedup
 		}(i)
 	}
 	wg.Wait()
-	if got := maxInFlight.Load(); got > 4 {
-		t.Fatalf("pool admitted %d threads' worth of work on a 4-worker budget", got)
-	}
-}
-
-// TestPoolClampsOverwideJobs: a job wider than the whole pool must clamp
-// to it and run, not deadlock.
-func TestPoolClampsOverwideJobs(t *testing.T) {
-	s := New(2)
-	s.runFn = fakeRun(9)
-	j := testJob(1, "calc", "libq", "mcf", "lbm")
-	j.Config.Threads = 4 // wider than the 2-worker pool
-	done := make(chan sim.Result, 1)
-	go func() { done <- s.Run(j) }()
-	select {
-	case r := <-done:
-		if r.Apps[0].Cycles != 9 {
-			t.Fatal("wrong result for clamped job")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("over-wide job deadlocked the pool")
+	if got := maxInFlight.Load(); got > 2 {
+		t.Fatalf("pool admitted %d jobs at once on a 2-worker budget", got)
 	}
 }
 
@@ -475,11 +448,11 @@ func TestSlugify(t *testing.T) {
 
 // TestPanickingJobSettlesFlight is the regression test for the serving
 // bugfix: a panicking runFn must (a) not wedge latecomers blocked on the
-// flight, (b) release its pool width, (c) surface as *PanicError on every
+// flight, (b) release its pool worker, (c) surface as *PanicError on every
 // caller, and (d) be counted in Stats.Panics. Before the fix, the flight
 // never settled and every latecomer on the key blocked forever.
 func TestPanickingJobSettlesFlight(t *testing.T) {
-	s := New(2)
+	s := New(1) // one worker: a leak would wedge the next job
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	s.runFn = func(j Job) sim.Result {
@@ -488,7 +461,6 @@ func TestPanickingJobSettlesFlight(t *testing.T) {
 		panic("simulator bug")
 	}
 	j := testJob(1)
-	j.Config.Threads = 2 // full pool width: a leak would wedge the next job
 
 	leaderErr := make(chan error, 1)
 	go func() {
@@ -526,8 +498,8 @@ func TestPanickingJobSettlesFlight(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 
-	// The key must not be poisoned and the pool width must be back: a
-	// full-width job on the same key runs (and succeeds) afterwards.
+	// The key must not be poisoned and the pool worker must be back: a job
+	// on the same key runs (and succeeds) afterwards.
 	s.runFn = fakeRun(11)
 	done := make(chan sim.Result, 1)
 	go func() { done <- s.Run(j) }()
@@ -537,7 +509,7 @@ func TestPanickingJobSettlesFlight(t *testing.T) {
 			t.Fatalf("post-panic run returned %+v", r)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("pool width leaked: post-panic job never ran")
+		t.Fatal("pool worker leaked: post-panic job never ran")
 	}
 	if g := s.Gauges(); g.PoolBusy != 0 || g.InflightFlights != 0 {
 		t.Fatalf("gauges not drained: %+v", g)
@@ -564,12 +536,11 @@ func TestRunRepanicsOnPanickedJob(t *testing.T) {
 }
 
 // TestRunUncachedReleasesWidthOnPanic: the uncached path must also return
-// its width and count the panic.
+// its pool worker and count the panic.
 func TestRunUncachedReleasesWidthOnPanic(t *testing.T) {
-	s := New(2)
+	s := New(1)
 	s.runFn = func(j Job) sim.Result { panic("boom") }
 	j := testJob(1)
-	j.Config.Threads = 2
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -587,7 +558,7 @@ func TestRunUncachedReleasesWidthOnPanic(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("pool width leaked on uncached panic")
+		t.Fatal("pool worker leaked on uncached panic")
 	}
 }
 

@@ -243,6 +243,38 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestJobRejectsUnbuildableConfig: a job whose config would panic the
+// simulator's constructor is a malformed request, answered 400 before any
+// execution — not a recovered panic answered 500.
+func TestJobRejectsUnbuildableConfig(t *testing.T) {
+	_, hs := newTestServer(t, schedule.New(1))
+	for name, mutate := range map[string]func(*sim.Config){
+		"arbiter-cores":      func(c *sim.Config) { c.Arb.Cores = 1 },
+		"block-bytes-0":      func(c *sim.Config) { c.BlockBytes = 0 },
+		"block-bytes-48":     func(c *sim.Config) { c.BlockBytes = 48 },
+		"l1-sets-3":          func(c *sim.Config) { c.L1Sets = 3 },
+		"l2-sets-100":        func(c *sim.Config) { c.L2Sets = 100 },
+		"llc-sets-100":       func(c *sim.Config) { c.LLCSets = 100 },
+		"llc-policy-unknown": func(c *sim.Config) { c.LLCPolicy = "no-such-policy" },
+		"l2-policy-unknown":  func(c *sim.Config) { c.L2Policy = "no-such-policy" },
+	} {
+		job := stubJob(1)
+		mutate(&job.Config)
+		body, err := json.Marshal(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: POST /v1/jobs = %d, want 400", name, resp.StatusCode)
+		}
+	}
+}
+
 // TestStatszAndMetrics smoke-tests the observability endpoints.
 func TestStatszAndMetrics(t *testing.T) {
 	sched := schedule.New(2)

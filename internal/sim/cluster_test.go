@@ -69,24 +69,21 @@ func TestClusterDisabledLeavesResultEmpty(t *testing.T) {
 }
 
 // TestClusterDeterminism is the clustering layer's determinism contract:
-// classification and every Result bit are identical across the serial loop,
-// the parallel engine, and any batch cap, because the classifier observes
-// and re-partitions only inside the globally-ordered arbiter/LLC phase.
+// classification and every Result bit are identical across batch caps,
+// because the classifier observes and re-partitions only inside the
+// globally-ordered substrate Fetch.
 func TestClusterDeterminism(t *testing.T) {
 	names := []string{"art", "gcc", "STRM", "milc"}
-	run := func(threads, maxBatch int) Result {
+	run := func(maxBatch int) Result {
 		s := NewFromNames(clusterTestConfig(len(names), "tadrrip"), names)
-		s.SetParallel(threads)
 		s.SetMaxBatch(maxBatch)
 		return s.Run(20_000, 80_000)
 	}
-	ref := run(1, 0)
+	ref := run(0)
 	refFP := ref.Fingerprint()
-	for _, tc := range []struct{ threads, maxBatch int }{
-		{1, 1}, {1, 64}, {2, 0}, {4, 0}, {4, 7},
-	} {
-		t.Run(fmt.Sprintf("threads=%d/batch=%d", tc.threads, tc.maxBatch), func(t *testing.T) {
-			got := run(tc.threads, tc.maxBatch)
+	for _, maxBatch := range []int{1, 7, 64} {
+		t.Run(fmt.Sprintf("batch=%d", maxBatch), func(t *testing.T) {
+			got := run(maxBatch)
 			if fp := got.Fingerprint(); fp != refFP {
 				t.Fatalf("clustered run drifts: %s != %s", fp, refFP)
 			}

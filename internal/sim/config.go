@@ -3,17 +3,17 @@
 // VPC arbiter, and DDR2 memory — and runs multi-programmed workloads on it.
 //
 // The simulator is deterministic: given a Config and a set of generators,
-// two runs produce identical results — including under the conservative
-// parallel engine (System.SetParallel), which runs private core
-// hierarchies on real threads while replaying the serial global order for
-// the shared substrate, bit-identically for every thread count. Experiment
-// harnesses additionally parallelise across independent systems.
+// two runs produce identical results. One simulation runs on one goroutine;
+// host parallelism comes from running independent simulations side by side
+// (internal/schedule).
 package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arbiter"
+	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/mem"
 	"repro/internal/policy"
@@ -72,25 +72,14 @@ type Config struct {
 	// Seed feeds policy monitor sampling and anything else stochastic.
 	Seed uint64
 
-	// Threads is the intra-simulation thread count: how many core
-	// goroutines may run simulation work concurrently inside one System.
-	// 0 or 1 selects the serial reference event loop; values above 1 run
-	// the conservative parallel engine (see parallel.go); negative values
-	// pick an automatic count (min of cores and GOMAXPROCS). Results are
-	// bit-identical for every value — the parallel engine reproduces the
-	// serial (clock, core-index) total order exactly — which is why the
-	// field is excluded from Fingerprint: two runs differing only in
-	// Threads are the same simulation, and memoized results are shared
-	// across thread counts. System.SetParallel overrides it per system.
-	Threads int `fingerprint:"-"`
-
 	// TraceBatch is the per-core trace-delivery batch length (cpu.Config.
 	// TraceBatch): how many ops each core pre-draws from its generator per
-	// ring refill. Zero selects cpu.DefaultTraceBatch. Like Threads, it is
-	// a pure execution knob — generators are state machines independent of
-	// simulation time, so pre-drawing cannot change a single emitted op and
-	// every value yields bit-identical Results (TestTraceBatchInvariance) —
-	// which is why it is excluded from Fingerprint and memoized results are
+	// ring refill. Zero selects cpu.DefaultTraceBatch. It is a pure
+	// execution knob, kept as a test parameter — generators are state
+	// machines independent of simulation time, so pre-drawing cannot change
+	// a single emitted op and every value yields bit-identical Results
+	// (TestTraceBatchInvariance, TestGoldenFingerprintsTraceBatch) — which
+	// is why it is excluded from Fingerprint and memoized results are
 	// shared across batch lengths.
 	TraceBatch int `fingerprint:"-"`
 
@@ -149,10 +138,18 @@ func Scale(cfg Config, factor int) Config {
 	return cfg
 }
 
-// Validate reports whether the configuration is usable.
+// maxCores bounds the machine width: the caches record each line's owner
+// core in a byte.
+const maxCores = 256
+
+// Validate reports whether the configuration is usable: every Config it
+// accepts builds (New) and runs without panicking.
 func (c Config) Validate() error {
 	if c.Cores <= 0 {
 		return fmt.Errorf("sim: cores must be positive")
+	}
+	if c.Cores > maxCores {
+		return fmt.Errorf("sim: at most %d cores supported, got %d", maxCores, c.Cores)
 	}
 	for _, p := range []struct {
 		name string
@@ -170,8 +167,22 @@ func (c Config) Validate() error {
 			return fmt.Errorf("sim: %s must be positive", p.name)
 		}
 	}
-	if c.LLCPolicy == "" || c.L2Policy == "" {
-		return fmt.Errorf("sim: cache policies must be named")
+	// The caches' own geometry rules: power-of-two sets and block size,
+	// at most 64 ways.
+	for _, cc := range []cache.Config{
+		{Name: "L1", Geometry: cache.Geometry{Sets: c.L1Sets, Ways: c.L1Ways, Cores: 1}, BlockBytes: c.BlockBytes},
+		{Name: "L2", Geometry: cache.Geometry{Sets: c.L2Sets, Ways: c.L2Ways, Cores: 1}, BlockBytes: c.BlockBytes},
+		{Name: "LLC", Geometry: cache.Geometry{Sets: c.LLCSets, Ways: c.LLCWays, Cores: c.Cores}, BlockBytes: c.BlockBytes},
+	} {
+		if err := cc.Validate(); err != nil {
+			return fmt.Errorf("sim: %w", err)
+		}
+	}
+	known := policy.Names()
+	for _, p := range []struct{ field, name string }{{"LLCPolicy", c.LLCPolicy}, {"L2Policy", c.L2Policy}} {
+		if !slices.Contains(known, p.name) {
+			return fmt.Errorf("sim: %s %q is not a registered policy (known: %v)", p.field, p.name, known)
+		}
 	}
 	if c.TraceBatch < 0 {
 		return fmt.Errorf("sim: TraceBatch must be non-negative, got %d", c.TraceBatch)
@@ -184,6 +195,19 @@ func (c Config) Validate() error {
 	}
 	if err := c.Cluster.Validate(c.LLCWays); err != nil {
 		return err
+	}
+	if c.Cluster.Enabled() {
+		// Whether a policy honours way masks is a property of its type, so
+		// a small instance answers for the real geometry.
+		g := cache.Geometry{Sets: 64, Ways: c.LLCWays, Cores: c.Cores}
+		if p, err := policy.New(c.LLCPolicy, g, c.PolicyOpt); err != nil {
+			return err
+		} else if _, ok := p.(cache.WayMasker); !ok {
+			return fmt.Errorf("sim: LLC policy %q does not support the way masks clustering needs", c.LLCPolicy)
+		}
+	}
+	if c.Arb.Cores != c.Cores {
+		return fmt.Errorf("sim: arbiter serves %d cores, machine has %d", c.Arb.Cores, c.Cores)
 	}
 	return c.Arb.Validate()
 }

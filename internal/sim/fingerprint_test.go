@@ -46,16 +46,15 @@ func TestFingerprintSensitivity(t *testing.T) {
 }
 
 // TestFingerprintIgnoresExecutionKnobs pins the memoization contract for
-// the two knobs that provably cannot change a Result: the intra-simulation
-// thread count and the trace-delivery batch length. Excluding them lets
-// runs differing only in execution strategy share cached results.
+// the knob that provably cannot change a Result: the trace-delivery batch
+// length. Excluding it lets runs differing only in execution strategy
+// share cached results.
 func TestFingerprintIgnoresExecutionKnobs(t *testing.T) {
 	a := DefaultConfig(2)
 	b := DefaultConfig(2)
-	b.Threads = 8
 	b.TraceBatch = 512
 	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("Threads/TraceBatch changed the fingerprint; execution knobs must be identity-excluded")
+		t.Fatal("TraceBatch changed the fingerprint; execution knobs must be identity-excluded")
 	}
 }
 

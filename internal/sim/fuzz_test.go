@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/cluster"
 )
 
 // fuzzPolicies are the LLC policies FuzzBatchInvariance draws from: the
@@ -70,4 +71,68 @@ func FuzzBatchInvariance(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzConfigValidate checks Validate's contract: every Config it accepts
+// builds (NewFromNames) and runs a tiny detailed or sampled window without
+// panicking. The fuzzer perturbs the geometry, the policy names, the pool
+// sizes, the arbiter width and the optional layers of a tiny machine;
+// rejected configs end the case, accepted ones must run.
+//
+//	go test ./internal/sim -run '^$' -fuzz FuzzConfigValidate -fuzztime 10s
+func FuzzConfigValidate(f *testing.F) {
+	base := quickConfig(2)
+	f.Add(uint8(2), uint8(2), int16(6), int16(3), int16(3), int16(8),
+		uint8(base.L1Ways), uint8(base.L2Ways), uint8(base.LLCWays), base.LLCPolicy, base.L2Policy,
+		int16(base.LLCMSHRs), int16(base.LLCWBEntries), uint8(base.Mem.Banks), false, false)
+	f.Add(uint8(4), uint8(4), int16(6), int16(3), int16(3), int16(4),
+		uint8(8), uint8(16), uint8(16), "adapt", "drrip", int16(4), int16(2), uint8(8), true, true)
+	// Configs Validate must reject because New panics on them: an arbiter
+	// narrower than the machine, non-power-of-two block size and set
+	// counts, an unregistered policy.
+	f.Add(uint8(2), uint8(1), int16(6), int16(3), int16(3), int16(4),
+		uint8(8), uint8(16), uint8(16), "tadrrip", "drrip", int16(4), int16(2), uint8(8), false, false)
+	f.Add(uint8(2), uint8(2), int16(48), int16(-3), int16(100), int16(4),
+		uint8(8), uint8(16), uint8(16), "tadrrip", "drrip", int16(4), int16(2), uint8(8), false, false)
+	f.Add(uint8(2), uint8(2), int16(6), int16(3), int16(3), int16(4),
+		uint8(8), uint8(16), uint8(16), "no-such-policy", "drrip", int16(4), int16(2), uint8(8), false, false)
+	names := bench.Names()
+	f.Fuzz(func(t *testing.T, cores, arbCores uint8, blockBytes, l1Sets, l2Sets, llcSets int16,
+		l1Ways, l2Ways, llcWays uint8, llcPolicy, l2Policy string,
+		llcMSHRs, llcWB int16, banks uint8, clustered, sampled bool) {
+		cfg := quickConfig(int(cores % 9))
+		cfg.Arb.Cores = int(arbCores % 9)
+		cfg.BlockBytes = pow2OrRaw(blockBytes)
+		cfg.L1Sets, cfg.L2Sets, cfg.LLCSets = pow2OrRaw(l1Sets), pow2OrRaw(l2Sets), pow2OrRaw(llcSets)
+		cfg.L1Ways, cfg.L2Ways, cfg.LLCWays = int(l1Ways), int(l2Ways), int(llcWays)
+		cfg.LLCPolicy, cfg.L2Policy = llcPolicy, l2Policy
+		cfg.LLCMSHRs, cfg.LLCWBEntries = int(llcMSHRs), int(llcWB)
+		cfg.Mem.Banks = int(banks)
+		if clustered {
+			cfg.Cluster = cluster.Config{Mode: cluster.ModeLFOC, EpochAccesses: 512}
+		}
+		if sampled {
+			cfg.Sample = SampleConfig{Windows: 2}
+		}
+		if cfg.Validate() != nil {
+			return
+		}
+		if cfg.L1Sets > 1<<12 || cfg.L2Sets > 1<<12 || cfg.LLCSets > 1<<12 {
+			t.Skip("keeps each case's caches small")
+		}
+		mix := make([]string, cfg.Cores)
+		for i := range mix {
+			mix[i] = names[i%len(names)]
+		}
+		NewFromNames(cfg, mix).Run(500, 2_000)
+	})
+}
+
+// pow2OrRaw maps fuzz input v to 1<<v for v in [0, 13) — so most drawn
+// geometries are valid and reach New — and to v itself otherwise.
+func pow2OrRaw(v int16) int {
+	if v >= 0 && v < 13 {
+		return 1 << v
+	}
+	return int(v)
 }

@@ -8,7 +8,8 @@ import (
 // Golden-fingerprint corpus: sim.Result.Fingerprint locked for a small
 // canonical grid of (mix, policy) runs at tiny fidelity. The simulator is a
 // pure function of its Config and workload, so these digests are stable
-// across parallelism, batch caps, scheduler interleaving and host — any
+// across batch caps, trace-delivery batch lengths, scheduler interleaving
+// and host — any
 // change here means the simulation semantics changed.
 //
 // If a change is INTENTIONAL (a timing-model fix, a policy behaviour
@@ -93,28 +94,26 @@ func TestGoldenFingerprints(t *testing.T) {
 	}
 }
 
-// TestGoldenFingerprintsParallel runs the whole corpus under the
-// conservative parallel engine at 1, 2 and 4 intra-simulation threads.
-// The goldens are the serial loop's digests, so a pass here is the strong
-// form of the engine's contract: real threads inside one simulation change
-// no Result bit, for every mix and every policy in the corpus.
-func TestGoldenFingerprintsParallel(t *testing.T) {
+// TestGoldenFingerprintsTraceBatch runs the whole corpus, cluster rows
+// included, at trace-delivery batch lengths 1 (one op drawn per refill)
+// and 1024 against the unchanged goldens: batched trace delivery must
+// change no Result bit, for every mix and every policy in the corpus.
+func TestGoldenFingerprintsTraceBatch(t *testing.T) {
 	for _, tc := range goldenFingerprints {
-		for _, threads := range []int{1, 2, 4} {
-			tc, threads := tc, threads
-			t.Run(fmt.Sprintf("%s/threads=%d", tc.name, threads), func(t *testing.T) {
+		for _, batch := range []int{1, 1024} {
+			tc, batch := tc, batch
+			t.Run(fmt.Sprintf("%s/batch=%d", tc.name, batch), func(t *testing.T) {
 				t.Parallel()
 				cfg := goldenConfig(len(tc.names), tc.policy)
 				if tc.cluster {
 					cfg = clusterTestConfig(len(tc.names), tc.policy)
 				}
-				s := NewFromNames(cfg, tc.names)
-				s.SetParallel(threads)
-				got := s.Run(20_000, 80_000).Fingerprint()
+				cfg.TraceBatch = batch
+				got := NewFromNames(cfg, tc.names).Run(20_000, 80_000).Fingerprint()
 				if got != tc.want {
-					t.Errorf("threads=%d drifts from the serial golden:\n  got  %s\n  want %s\n"+
-						"The parallel engine must be bit-identical to the serial loop; this is "+
-						"an engine bug, not a golden to re-pin.", threads, got, tc.want)
+					t.Errorf("TraceBatch=%d drifts from the golden:\n  got  %s\n  want %s\n"+
+						"Batch length must be invisible in every Result bit; this is a trace-"+
+						"delivery bug, not a golden to re-pin.", batch, got, tc.want)
 				}
 			})
 		}

@@ -78,11 +78,10 @@ func (r Result) IPCs() []float64 {
 // total and deterministic, which is what makes clock ties (frequent, since
 // cores start aligned) batch-invariant.
 //
-// Each entry packs both sort fields into one word, clock<<shift | index
-// (the same packing the parallel engine's order gate uses): one load and
-// one integer compare per heap comparison instead of two loads and up to
-// two compares, on what profiles show is the serial loop's hottest
-// non-simulation code. shift is sized to the core count, so the clock keeps
+// Each entry packs both sort fields into one word, clock<<shift | index:
+// one load and one integer compare per heap comparison instead of two
+// loads and up to two compares, on what profiles show is the serial loop's
+// hottest non-simulation code. shift is sized to the core count, so the clock keeps
 // at least 54 bits of headroom at any realistic scale. Keys are unique
 // (the index bits differ), so strict < is a total order identical to the
 // (clock, idx) pair order.
@@ -180,14 +179,6 @@ func (h *frontier) runnerUp() int {
 	}
 }
 
-// SetParallel sets the intra-simulation thread count for subsequent Run
-// calls, overriding Config.Threads; it mirrors SetMaxBatch as the test
-// knob of the execution engine. n <= 1 selects the serial reference loop,
-// n > 1 runs the conservative parallel engine on up to n concurrent core
-// threads, and n < 0 selects the automatic count (see Config.Threads).
-// Any value yields bit-identical Results — see TestParallelInvariance.
-func (s *System) SetParallel(n int) { s.threads = n }
-
 // SetMaxBatch caps how many steps a core may execute per event-loop batch,
 // run-ahead steps included. Zero (the default) is adaptive: a batch is
 // bounded only by the inter-core slack and the run-ahead rule (see
@@ -209,12 +200,12 @@ func (s *System) SetMaxBatch(n int) { s.maxBatch = n }
 // increasing (clock, core-index) order — the core with the smallest local
 // clock steps next, clock ties go to the smaller core index — and stop
 // after the step at which the last core crosses the target. Every step that
-// reaches the Substrate runs in that order: a core batches such steps
+// reaches the substrate runs in that order: a core batches such steps
 // exactly while it would still be chosen by the rule (its clock stays below
 // the runner-up's, or equal with a smaller index).
 //
 // Run-ahead: a step whose reference hits the core's private L1 makes no
-// Substrate call, so its position in the global order cannot matter, and
+// substrate call, so its position in the global order cannot matter, and
 // the root core keeps stepping past the runner-up while its next reference
 // is such a hit. What must not change is the set of executed steps, which
 // three rules preserve:
@@ -237,10 +228,6 @@ func (s *System) SetMaxBatch(n int) { s.maxBatch = n }
 // independent of batch size; see TestBatchInvariance and
 // FuzzBatchInvariance.
 func (s *System) runUntilRetired(target uint64, freezeCycles, freezeInstr []uint64) {
-	if t := s.effectiveThreads(); t > 1 {
-		s.runParallel(t, target, freezeCycles, freezeInstr)
-		return
-	}
 	n := len(s.cores)
 	record := func(i int) {
 		if freezeCycles != nil {
@@ -328,7 +315,6 @@ func (s *System) Run(warmup, measure uint64) Result {
 	freezeCycles := make([]uint64, len(s.cores))
 	freezeInstr := make([]uint64, len(s.cores))
 	s.runUntilRetired(measure, freezeCycles, freezeInstr)
-	s.sub.drainAll()
 
 	res := Result{Apps: make([]AppResult, len(s.cores))}
 	llcStats := s.sub.llc.Stats()
@@ -360,15 +346,11 @@ func (s *System) Run(warmup, measure uint64) Result {
 	return res
 }
 
-// resetAtWarmBoundary drains deferred DRAM-phase ops and resets statistics
-// at the warm-up boundary; microarchitectural state (cache contents, policy
-// learning, bank timelines and open rows, in-flight misses) carries over.
-// The drain charges warm-up-initiated fire-and-forget drains to the warm-up
-// window, exactly as the pre-shard substrate executed them inline. Returns
-// the per-core clock snapshots taken after the reset (the measured window's
-// cycle origin).
+// resetAtWarmBoundary resets statistics at the warm-up boundary;
+// microarchitectural state (cache contents, policy learning, bank timelines
+// and open rows, in-flight misses) carries over. Returns the per-core clock
+// snapshots taken after the reset (the measured window's cycle origin).
 func (s *System) resetAtWarmBoundary() []uint64 {
-	s.sub.drainAll()
 	startCycles := make([]uint64, len(s.cores))
 	for i, c := range s.cores {
 		c.ResetStats()

@@ -207,10 +207,10 @@ func (r *sampleRates) observe(i int, di, dc uint64) {
 //
 // The schedule is a pure integer function of (target, quantum, rates), and
 // the rates are themselves measured from detailed spans that are already
-// bit-identical across execution knobs — no clocks, no threads, no
+// bit-identical across execution knobs — no clocks, no event-loop or
 // trace-delivery batching — so every shared-state update (LLC policy
 // metadata, SHCT/PSEL counters, cluster epochs) happens in the same global
-// order regardless of Config.Threads and Config.TraceBatch.
+// order regardless of batch caps and Config.TraceBatch.
 func (s *System) runFunctionalUntil(target, quantum uint64, rates *sampleRates) {
 	for {
 		done := true
@@ -308,7 +308,6 @@ func (s *System) runSampled(warmup, measure uint64) Result {
 		// fully-detailed Run freezes counters at target crossings.
 		s.runFunctionalUntil(gapTarget, p.quantum, rates)
 		s.runUntilRetired(warmTarget, startC, startI)
-		s.sub.drainAll()
 		for i := 0; i < n; i++ {
 			accA[i] = llcStats.DemandAccesses[i]
 			missA[i] = llcStats.DemandMisses[i]
@@ -316,7 +315,6 @@ func (s *System) runSampled(warmup, measure uint64) Result {
 		}
 
 		s.runUntilRetired(windowEnd, endC, endI)
-		s.sub.drainAll()
 		for i := 0; i < n; i++ {
 			di := endI[i] - startI[i]
 			dc := endC[i] - startC[i]

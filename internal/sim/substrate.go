@@ -1,105 +1,31 @@
 package sim
 
 import (
-	"sync"
-
 	"repro/internal/arbiter"
 	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/mem"
 )
 
-// Substrate is the shared half of the machine: everything cores can
-// contend on — the banked LLC behind its VPC arbiter, the DRAM model, and
-// the LLC-side MSHR/write-back pools. A core's private hierarchy (its L1,
-// L2 and their pools; see corePath) reaches shared state only through these
-// two entry points, which is the structural fact the conservative parallel
-// engine (parallel.go) builds on: private-hierarchy execution is
-// independent across cores by construction, so only Fetch and Writeback
-// calls need the global (clock, core-index) order of the serial event loop.
-//
-// Since the timeline-native refactor the substrate is itself two-phase (see
-// sharedSubstrate): only the arbiter/LLC phase requires the global order;
-// the DRAM phase is sharded per bank and needs only per-bank order.
-type Substrate interface {
-	// Fetch serves an L2 miss for block: through the VPC arbiter to an LLC
-	// bank, and on an LLC miss through the LLC MSHRs to DRAM. at is the
-	// time the request leaves the core's L2 MSHRs; the return value is the
-	// time the data is available to the private hierarchy.
-	Fetch(core int, block, pc uint64, write, demand bool, at uint64) uint64
-
-	// Writeback drains a dirty L2 victim: an LLC bank slot via the
-	// arbiter; a resident LLC copy absorbs the write, otherwise the victim
-	// writes through to DRAM. at is the time the victim leaves the core's
-	// L2 write-back buffer; the return value is the drain completion time.
-	Writeback(core int, block uint64, at uint64) uint64
-}
-
-// DRAM-phase operation kinds. Their per-bank execution order is the global
-// (clock, core-index) order of the phase-1 calls that enqueued them, which
-// is what makes the sharded substrate bit-identical between the serial loop
-// and the parallel engine.
-const (
-	opRead         = iota // LLC miss fill: LLC MSHR entry, DRAM read
-	opVictim              // dirty LLC victim: LLC WB entry, DRAM write (fire-and-forget)
-	opWriteThrough        // L2 writeback missing the LLC: DRAM write
-)
-
-// dramOp is one deferred DRAM-phase operation parked on its bank's queue.
-type dramOp struct {
-	kind      uint8
-	block     uint64
-	at        uint64 // time the op reaches the bank's pools
-	done      uint64 // result, valid once executed
-	collected bool   // result consumed (true from birth for fire-and-forget ops)
-}
-
-// dramTicket names one enqueued dramOp: (bank, sequence number). The zero
-// ticket means "no DRAM phase" (the request was satisfied in the LLC).
-type dramTicket struct {
-	bank  int
-	seq   uint64
-	valid bool
-}
-
-// bankShard is one DRAM bank's slice of the substrate: its share of the
-// LLC-side MSHR and write-back pools, and the in-order queue of deferred
-// DRAM operations. The shard mutex is the only lock the DRAM phase takes —
-// shards for different banks execute concurrently under the parallel
-// engine, and everything a queued op touches (the pools here, and the
-// bank's timeline/row-track/counters inside mem.DDR2) is per-bank state.
+// bankShard is one DRAM bank's slice of the LLC-side miss-status and
+// write-back pools: the registers are banked with the DRAM channel they
+// feed, so a DRAM access touches only its own bank's pools and the bank's
+// timeline/row-track/counters inside mem.DDR2.
 type bankShard struct {
-	mu   sync.Mutex
 	mshr *cache.TimedPool
 	wb   *cache.TimedPool
-
-	ops      []dramOp
-	base     uint64 // seq of ops[0]
-	nextExec int    // index into ops of the first unexecuted op
 }
 
-// sharedSubstrate is the reference Substrate: the paper's Table 3 shared
-// fabric, decomposed into an arbiter/LLC phase and a per-bank DRAM phase.
+// sharedSubstrate is the shared half of the machine: everything cores can
+// contend on — the VPC arbiter, the banked LLC and its replacement policy,
+// the DRAM model, and the per-bank LLC-side MSHR/write-back pools. A core's
+// private hierarchy (its L1, L2 and their pools; see corePath) reaches
+// shared state only through Fetch and Writeback (and their functional-
+// warming twins fetchFunc and writebackFunc).
 //
-// Phase 1 (fetchLLC/writebackLLC) touches the globally-shared policy state
-// — the VPC arbiter, the LLC and its replacement policy, the access hook —
-// and must execute in the serial event loop's (clock, core-index) order,
-// one call at a time (the serial loop trivially guarantees this; the
-// parallel engine serialises it behind its order gate). On an LLC miss,
-// phase 1 does not touch DRAM: it enqueues the DRAM work on the target
-// bank's shard and returns a ticket.
-//
-// Phase 2 (redeem) drains a bank's queue in enqueue order up to the ticket
-// and returns the op's completion time. Enqueue order equals the global
-// phase-1 order, so per-bank state evolves identically however redeeming
-// is interleaved across cores — which is why the parallel engine may run it
-// outside its order gate under the shard mutex alone, and why a core may
-// drain ops enqueued on behalf of *other* cores while getting to its own.
-//
-// The scratch records are reused across phase-1 calls so the policy
-// interface does not force a heap allocation per LLC reference (same trick
-// as corePath's private scratches); they are safe because phase 1 is
-// single-threaded by contract.
+// The scratch records are reused across calls so the policy interface does
+// not force a heap allocation per LLC reference (same trick as corePath's
+// private scratches).
 type sharedSubstrate struct {
 	cfg *Config
 
@@ -109,9 +35,9 @@ type sharedSubstrate struct {
 
 	// cluster, when non-nil, is the LFOC-style fairness clustering manager.
 	// It observes every LLC demand access and flips the policy's way masks
-	// at epoch boundaries; both happen inside fetchLLC, i.e. under the
-	// phase-1 global order, which is what keeps clustered runs bit-identical
-	// across thread counts and batch caps.
+	// at epoch boundaries; both happen inside Fetch, in the event loop's
+	// global order, which is what keeps clustered runs bit-identical across
+	// batch caps.
 	cluster *cluster.Manager
 
 	shards []bankShard
@@ -120,10 +46,7 @@ type sharedSubstrate struct {
 }
 
 // newShards builds the per-bank shards, splitting the LLC-side pool
-// capacities evenly across the DRAM banks (at least one entry each): the
-// miss-status and write-back registers are banked with the DRAM channel
-// they feed, so each shard is self-contained and the DRAM phase never
-// crosses shards.
+// capacities evenly across the DRAM banks (at least one entry each).
 func newShards(cfg *Config) []bankShard {
 	banks := cfg.Mem.Banks
 	per := func(total int) int {
@@ -141,38 +64,19 @@ func newShards(cfg *Config) []bankShard {
 	return shards
 }
 
-// Fetch implements Substrate for single-threaded callers (the serial event
-// loop and the public System.Access path): phase 1 immediately followed by
-// the DRAM phase. The statement order inside the phases — arbiter grant,
-// access hook, LLC lookup, MSHR reservation, DRAM access, dirty-victim
-// drain — is load-bearing: it is the canonical substrate mutation order,
-// and the golden-fingerprint corpus pins it.
+// Fetch serves an L2 miss for block: through the VPC arbiter to an LLC
+// bank, and on an LLC miss through the bank's LLC MSHRs to DRAM. at is the
+// time the request leaves the core's L2 MSHRs; the return value is the
+// time the data is available to the private hierarchy.
+//
+// Calling contract: Fetch and Writeback mutate state every core shares, so
+// callers issue them one at a time, in the event loop's global (clock,
+// core-index) order (see runUntilRetired); private-hierarchy work needs no
+// such order. The statement order inside — arbiter grant, access hook, LLC
+// lookup, cluster observation, DRAM read, then the dirty LLC victim's
+// drain — is the canonical substrate mutation order, and the
+// golden-fingerprint corpus pins it.
 func (u *sharedSubstrate) Fetch(core int, block, pc uint64, write, demand bool, at uint64) uint64 {
-	done, rd, vt := u.fetchLLC(core, block, pc, write, demand, at)
-	if rd.valid {
-		done = u.redeem(rd)
-	}
-	if vt.valid {
-		u.redeem(vt)
-	}
-	return done
-}
-
-// Writeback implements Substrate for single-threaded callers.
-func (u *sharedSubstrate) Writeback(core int, block uint64, at uint64) uint64 {
-	done, wt := u.writebackLLC(core, block, at)
-	if wt.valid {
-		done = u.redeem(wt)
-	}
-	return done
-}
-
-// fetchLLC is Fetch's arbiter/LLC phase. On an LLC hit the returned time is
-// final and both tickets are zero; on a miss, read names the fill op whose
-// completion time the caller must redeem, and victim (when valid) names a
-// fire-and-forget dirty-victim drain the caller should redeem to keep the
-// bank queues short. No allocation on the miss path beyond queue growth.
-func (u *sharedSubstrate) fetchLLC(core int, block, pc uint64, write, demand bool, at uint64) (done uint64, read, victim dramTicket) {
 	set := u.llc.SetOf(block)
 	start := u.arb.Schedule(core, u.arb.BankOf(set), at)
 	t4 := start + u.cfg.LLCLatency
@@ -186,45 +90,59 @@ func (u *sharedSubstrate) fetchLLC(core int, block, pc uint64, write, demand boo
 	// Clustering observes demand traffic after the lookup so the current
 	// access is classified under the masks that governed its own fill; an
 	// epoch boundary inside Observe re-partitions for the *next* access.
-	// Still phase 1, still globally ordered.
 	if u.cluster != nil && demand {
 		u.cluster.Observe(core, block, !rl.Hit, start-at)
 	}
 
 	if rl.Hit {
-		return t4, dramTicket{}, dramTicket{}
+		return t4
 	}
-	// DRAM read (whether the LLC allocated or bypassed), then the dirty
-	// victim racing it — same order as the serial mutation sequence.
-	read = u.enqueue(opRead, block, t4)
+	// DRAM read (whether the LLC allocated or bypassed) through the bank's
+	// MSHRs, then the dirty victim racing it: a write-back entry on its own
+	// bank and a fire-and-forget DRAM write.
+	sh := u.shardOf(block)
+	done, _ := u.dram.Access(sh.mshr.Reserve(t4), block, false)
+	sh.mshr.Occupy(t4, done)
 	if rl.EvictedValid && rl.Evicted.Dirty {
-		victim = u.enqueue(opVictim, rl.Evicted.Block, t4)
+		victim := rl.Evicted.Block
+		vs := u.shardOf(victim)
+		drained, _ := u.dram.Access(vs.wb.Reserve(t4), victim, true)
+		vs.wb.Occupy(t4, drained)
 	}
-	return 0, read, victim
+	return done
 }
 
-// writebackLLC is Writeback's arbiter/LLC phase. No allocation on a miss —
-// filling the LLC with blocks the L2 just evicted would churn the cache
-// and, under high-turnover policies, roughly double DRAM write traffic; the
-// victim instead writes through to DRAM via the returned ticket.
-func (u *sharedSubstrate) writebackLLC(core int, block uint64, at uint64) (done uint64, wt dramTicket) {
+// Writeback drains a dirty L2 victim: an LLC bank slot via the arbiter; a
+// resident LLC copy absorbs the write, otherwise the victim writes through
+// to DRAM. A miss does not allocate — filling the LLC with blocks the L2
+// just evicted would churn the cache and, under high-turnover policies,
+// roughly double DRAM write traffic. at is the time the victim leaves the
+// core's L2 write-back buffer; the return value is the drain completion
+// time. Same calling contract as Fetch.
+func (u *sharedSubstrate) Writeback(core int, block uint64, at uint64) uint64 {
 	set := u.llc.SetOf(block)
 	start := u.arb.Schedule(core, u.arb.BankOf(set), at)
-	done = start + u.cfg.LLCLatency
+	done := start + u.cfg.LLCLatency
 
 	u.scratchWB = cache.Access{Block: block, Core: core, Write: true, Demand: false, Writeback: true}
 	if u.llc.WritebackNoAllocate(&u.scratchWB) {
-		return done, dramTicket{}
+		return done
 	}
-	return done, u.enqueue(opWriteThrough, block, done)
+	done, _ = u.dram.Access(done, block, true)
+	return done
 }
 
-// fetchFunc is fetchLLC without time, for functional-warming gaps: the LLC
+// shardOf returns the pools of the DRAM bank block maps to.
+func (u *sharedSubstrate) shardOf(block uint64) *bankShard {
+	bank, _ := u.dram.Map(block)
+	return &u.shards[bank]
+}
+
+// fetchFunc is Fetch without time, for functional-warming gaps: the LLC
 // lookup (and so replacement metadata, SHCT/duel learning, bypass
 // decisions), the access hook and the cluster observation all happen in the
-// same order as the detailed phase-1 sequence, but there is no arbiter
-// grant, no DRAM phase and no ticket — an LLC miss fills (or bypasses)
-// instantly at nominal latency. Cluster waits are observed as zero: the
+// same order as in Fetch, but there is no arbiter grant and no DRAM access —
+// an LLC miss fills (or bypasses) instantly at nominal latency. Cluster waits are observed as zero: the
 // functional machine has no queueing. Callers hold the functional phase's
 // serial order (the round-robin in runFunctionalUntil).
 func (u *sharedSubstrate) fetchFunc(core int, block, pc uint64, write, demand bool) {
@@ -241,116 +159,10 @@ func (u *sharedSubstrate) fetchFunc(core int, block, pc uint64, write, demand bo
 	// or bank state for the write to perturb.
 }
 
-// writebackFunc is writebackLLC without time: a resident LLC copy absorbs
+// writebackFunc is Writeback without time: a resident LLC copy absorbs
 // the dirty L2 victim (keeping its dirty bit and recency state honest for
 // the next detailed window); a miss writes through to nothing.
 func (u *sharedSubstrate) writebackFunc(core int, block uint64) {
 	u.scratchWB = cache.Access{Block: block, Core: core, Write: true, Demand: false, Writeback: true}
 	u.llc.WritebackNoAllocate(&u.scratchWB)
-}
-
-// enqueue appends a DRAM op to its bank's queue. Callers hold the phase-1
-// order (one enqueue at a time, globally ordered); the shard mutex is still
-// required because another core may concurrently drain this bank.
-func (u *sharedSubstrate) enqueue(kind uint8, block, at uint64) dramTicket {
-	bank, _ := u.dram.Map(block)
-	sh := &u.shards[bank]
-	sh.mu.Lock()
-	seq := sh.base + uint64(len(sh.ops))
-	sh.ops = append(sh.ops, dramOp{
-		kind:      kind,
-		block:     block,
-		at:        at,
-		collected: kind == opVictim,
-	})
-	sh.mu.Unlock()
-	return dramTicket{bank: bank, seq: seq, valid: true}
-}
-
-// redeem executes ticket t's bank queue in order through t — helping along
-// any earlier ops other cores have not collected yet — and returns t's
-// completion time (meaningless for fire-and-forget ops).
-func (u *sharedSubstrate) redeem(t dramTicket) uint64 {
-	sh := &u.shards[t.bank]
-	sh.mu.Lock()
-	if t.seq < sh.base {
-		// Already executed AND compacted away. Only fire-and-forget ops
-		// (collected at birth) can be compacted before their owner's
-		// redeem — another core draining past them, then an owner redeem
-		// of an earlier op, drops the collected prefix — so there is
-		// nothing left to do and no result to return.
-		sh.mu.Unlock()
-		return 0
-	}
-	u.drainShard(sh, t.seq)
-	op := &sh.ops[t.seq-sh.base]
-	done := op.done
-	op.collected = true
-	sh.compact()
-	sh.mu.Unlock()
-	return done
-}
-
-// drainShard executes every unexecuted op with seq <= through, in order.
-// Callers hold sh.mu.
-func (u *sharedSubstrate) drainShard(sh *bankShard, through uint64) {
-	for sh.nextExec < len(sh.ops) && sh.base+uint64(sh.nextExec) <= through {
-		u.execDRAM(sh, &sh.ops[sh.nextExec])
-		sh.nextExec++
-	}
-}
-
-// execDRAM runs one DRAM-phase op against per-bank state only: the shard's
-// pools and the bank's timeline/row-track/counters inside mem.DDR2.
-func (u *sharedSubstrate) execDRAM(sh *bankShard, op *dramOp) {
-	switch op.kind {
-	case opRead:
-		dramAt := sh.mshr.Reserve(op.at)
-		done, _ := u.dram.Access(dramAt, op.block, false)
-		sh.mshr.Occupy(op.at, done)
-		op.done = done
-	case opVictim:
-		at := sh.wb.Reserve(op.at)
-		done, _ := u.dram.Access(at, op.block, true)
-		sh.wb.Occupy(op.at, done)
-	default: // opWriteThrough
-		done, _ := u.dram.Access(op.at, op.block, true)
-		op.done = done
-	}
-}
-
-// compact drops the queue's executed-and-collected prefix. Callers hold
-// sh.mu.
-func (sh *bankShard) compact() {
-	k := 0
-	for k < sh.nextExec && sh.ops[k].collected {
-		k++
-	}
-	if k == 0 {
-		return
-	}
-	n := copy(sh.ops, sh.ops[k:])
-	sh.ops = sh.ops[:n]
-	sh.base += uint64(k)
-	sh.nextExec -= k
-}
-
-// drainAll executes every queued op on every shard, in per-bank order. The
-// event loop calls it at run boundaries (the warm-up reset and the final
-// stats collection) so deferred fire-and-forget drains are charged to the
-// window whose phase-1 call produced them, exactly as the pre-shard
-// substrate executed them inline.
-func (u *sharedSubstrate) drainAll() {
-	for i := range u.shards {
-		sh := &u.shards[i]
-		sh.mu.Lock()
-		if n := len(sh.ops); n > 0 {
-			u.drainShard(sh, sh.base+uint64(n-1))
-			for j := range sh.ops {
-				sh.ops[j].collected = true
-			}
-			sh.compact()
-		}
-		sh.mu.Unlock()
-	}
 }

@@ -7,115 +7,43 @@ import (
 )
 
 // streamingMix is a substrate-saturating 8-core workload: streams and
-// cyclic thrashers whose L2 miss density keeps the order gate and the bank
-// shards under constant pressure — the mix where parked substrate calls
-// (and therefore helper-draining) actually happen.
+// cyclic thrashers whose L2 miss density keeps the arbiter and the DRAM
+// banks under constant pressure.
 var streamingMix = []string{"lbm", "STRM", "libq", "milc", "lbm", "STRM", "libq", "milc"}
 
 // TestSubstrateContentionMetricsDeterministic is the determinism
-// acceptance test of the new contention metrics: the arbiter-wait
-// histogram and the per-bank row-hit counters must be bit-identical across
-// intra-simulation thread counts (1 and 4) and batch caps (1 and
-// adaptive), exactly like every other Result bit.
+// acceptance test of the contention metrics: the arbiter-wait histogram
+// and the per-bank row-hit counters must be bit-identical across batch
+// caps (1, 3 and adaptive), exactly like every other Result bit.
 func TestSubstrateContentionMetricsDeterministic(t *testing.T) {
 	cfg := quickConfig(4)
 	names := []string{"lbm", "mcf", "libq", "STRM"}
-	run := func(threads, maxBatch int) Result {
+	run := func(maxBatch int) Result {
 		s := NewFromNames(cfg, names)
-		s.SetParallel(threads)
 		s.SetMaxBatch(maxBatch)
 		return s.Run(5_000, 40_000)
 	}
-	want := run(1, 0)
+	want := run(0)
 	if len(want.DRAMBanks) != cfg.Mem.Banks {
 		t.Fatalf("DRAMBanks has %d entries, want %d", len(want.DRAMBanks), cfg.Mem.Banks)
 	}
-	for _, c := range []struct{ threads, maxBatch int }{{1, 1}, {4, 0}, {4, 1}} {
-		got := run(c.threads, c.maxBatch)
+	for _, maxBatch := range []int{1, 3} {
+		got := run(maxBatch)
 		for i := range want.Apps {
 			if got.Apps[i].ArbiterWaitHist != want.Apps[i].ArbiterWaitHist {
-				t.Errorf("threads=%d maxBatch=%d: app %d wait histogram diverged:\n  %v\n  %v",
-					c.threads, c.maxBatch, i, got.Apps[i].ArbiterWaitHist, want.Apps[i].ArbiterWaitHist)
+				t.Errorf("maxBatch=%d: app %d wait histogram diverged:\n  %v\n  %v",
+					maxBatch, i, got.Apps[i].ArbiterWaitHist, want.Apps[i].ArbiterWaitHist)
 			}
 		}
 		for b := range want.DRAMBanks {
 			if got.DRAMBanks[b] != want.DRAMBanks[b] {
-				t.Errorf("threads=%d maxBatch=%d: bank %d counters diverged:\n  %+v\n  %+v",
-					c.threads, c.maxBatch, b, got.DRAMBanks[b], want.DRAMBanks[b])
+				t.Errorf("maxBatch=%d: bank %d counters diverged:\n  %+v\n  %+v",
+					maxBatch, b, got.DRAMBanks[b], want.DRAMBanks[b])
 			}
 		}
 		if got.Fingerprint() != want.Fingerprint() {
-			t.Fatalf("threads=%d maxBatch=%d: full result fingerprint diverged", c.threads, c.maxBatch)
+			t.Fatalf("maxBatch=%d: full result fingerprint diverged", maxBatch)
 		}
-	}
-}
-
-// TestParallelHelperDrainStreaming pins the helper-drained order gate on
-// the mix that exercises it hardest: a streaming-heavy machine at several
-// thread counts, with a single-step batch cap so cores hit the gate at
-// maximal frequency. Runs under -race in CI's race-sim job, which is what
-// covers the publish/park/help handoff for data races.
-func TestParallelHelperDrainStreaming(t *testing.T) {
-	cfg := quickConfig(8)
-	run := func(threads, maxBatch int) string {
-		s := NewFromNames(cfg, streamingMix)
-		s.SetParallel(threads)
-		s.SetMaxBatch(maxBatch)
-		return s.Run(4_000, 25_000).Fingerprint()
-	}
-	want := run(1, 0)
-	for _, c := range []struct{ threads, maxBatch int }{{2, 0}, {4, 0}, {8, 0}, {4, 1}} {
-		if got := run(c.threads, c.maxBatch); got != want {
-			t.Fatalf("threads=%d maxBatch=%d diverged from serial on the streaming mix",
-				c.threads, c.maxBatch)
-		}
-	}
-}
-
-// TestVictimTicketAfterForeignCompaction is the regression test for the
-// compacted-ticket underflow: a fire-and-forget victim op is collected at
-// birth, so a *later* core draining the bank followed by the owner's
-// redeem of its read ticket compacts the victim out of the queue before
-// the owner redeems the victim ticket. That late redeem must be a no-op,
-// not an index underflow. The interleaving is exactly what helper-draining
-// produces under the parallel engine; here it is driven directly so the
-// test is deterministic rather than schedule-dependent.
-func TestVictimTicketAfterForeignCompaction(t *testing.T) {
-	cfg := quickConfig(2)
-	s := NewFromNames(cfg, []string{"calc", "calc"})
-	u := s.sub
-
-	// Owner enqueues a read and a same-bank victim (the victim block is
-	// chosen to share the read's DRAM bank so it lands behind it).
-	read := u.enqueue(opRead, 0, 100)
-	bank, _ := u.dram.Map(0)
-	victimBlock := uint64(1) // same row, same bank as block 0
-	if b, _ := u.dram.Map(victimBlock); b != bank {
-		t.Fatalf("test setup: blocks 0 and %d map to different banks", victimBlock)
-	}
-	victim := u.enqueue(opVictim, victimBlock, 100)
-
-	// A later core's op on the same bank is enqueued and redeemed first,
-	// draining the whole queue (read, victim, its own op).
-	foreign := u.enqueue(opRead, victimBlock+2, 200)
-	u.redeem(foreign)
-
-	// The owner's read redeem compacts the executed prefix — including the
-	// born-collected victim — past the victim's seq.
-	if done := u.redeem(read); done == 0 {
-		t.Fatal("read ticket lost its result")
-	}
-	// The victim ticket now points below the queue base; redeeming it must
-	// be safe and leave the shard consistent.
-	u.redeem(victim)
-	sh := &u.shards[bank]
-	if len(sh.ops) != 0 || sh.nextExec != 0 {
-		t.Fatalf("shard queue inconsistent after late victim redeem: %d ops, nextExec %d",
-			len(sh.ops), sh.nextExec)
-	}
-	// The substrate still works end-to-end afterwards.
-	if done := u.Fetch(0, 1<<20, 0, false, true, 300); done == 0 {
-		t.Fatal("substrate broken after late victim redeem")
 	}
 }
 

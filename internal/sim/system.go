@@ -16,10 +16,10 @@ import (
 
 // System is one simulated machine running one multi-programmed workload.
 // It is split along the paper's sharing boundary: each core owns a corePath
-// (its private L1/L2 hierarchy), and all cores meet in one Substrate (the
-// arbiter, the banked LLC, DRAM and the shared pools). The split is what
-// lets the parallel engine in parallel.go run private hierarchies on real
-// threads while keeping the substrate single-threaded.
+// (its private L1/L2 hierarchy), and all cores meet in one sharedSubstrate
+// (the arbiter, the banked LLC, DRAM and the shared pools). The split is
+// what lets the event loop run a core's private-hierarchy work outside the
+// global order (see runUntilRetired). A System is driven by one goroutine.
 type System struct {
 	cfg   Config
 	gens  []trace.Generator
@@ -31,10 +31,6 @@ type System struct {
 	// bounded). See SetMaxBatch.
 	maxBatch int
 
-	// threads is the intra-simulation thread count; <=1 = the serial
-	// reference loop. See SetParallel and Config.Threads.
-	threads int
-
 	// frontier and doneScratch are the serial event loop's reusable state
 	// (see runUntilRetired): hoisted here so that steady-state loop entries
 	// perform no allocation, the invariant the CI allocs gate enforces.
@@ -44,9 +40,8 @@ type System struct {
 
 // corePath is one core's private memory hierarchy: its L1 and L2 caches,
 // their MSHR and write-back pools, and the reusable scratch access records
-// that keep the policy interface calls allocation-free. Exactly one
-// goroutine drives a corePath at any time (the core that owns it), so it
-// needs no synchronisation; everything cross-core goes through sub.
+// that keep the policy interface calls allocation-free. Everything
+// cross-core goes through sub.
 type corePath struct {
 	cfg *Config
 	id  int
@@ -55,17 +50,9 @@ type corePath struct {
 	mshr   *cache.TimedPool // L2 MSHRs
 	wb     *cache.TimedPool // L2 write-back buffer
 
-	// sub is the substrate this core's misses drain into: the shared
-	// sharedSubstrate directly under the serial loop, or a per-core order
-	// gate during a parallel run (swapped by the engine before the
-	// goroutines start and restored after they join).
-	sub Substrate
-
-	// fsub is always the shared substrate itself, bypassing any parallel
-	// order gate: functional warming (see funcAccess) runs strictly on the
-	// serial goroutine between detailed phases, when no gate is installed
-	// and none is needed.
-	fsub *sharedSubstrate
+	// sub is the shared substrate this core's L2 misses and dirty L2
+	// victims drain into.
+	sub *sharedSubstrate
 
 	scratchL1, scratchL2, scratchWB cache.Access
 }
@@ -96,9 +83,8 @@ func New(cfg Config, gens []trace.Generator) *System {
 	}
 
 	s := &System{
-		cfg:     cfg,
-		gens:    gens,
-		threads: cfg.Threads,
+		cfg:  cfg,
+		gens: gens,
 	}
 	s.sub = &sharedSubstrate{
 		cfg: &s.cfg,
@@ -139,7 +125,6 @@ func New(cfg Config, gens []trace.Generator) *System {
 			mshr: cache.NewTimedPool(cfg.L2MSHRs),
 			wb:   cache.NewTimedPool(cfg.L2WBEntries),
 			sub:  s.sub,
-			fsub: s.sub,
 		}
 		s.paths = append(s.paths, p)
 
@@ -198,8 +183,7 @@ func (s *System) Cluster() *cluster.Manager { return s.sub.cluster }
 // method set the public API (repro.System) has always exposed: one memory
 // reference for the given core through its private hierarchy and, on an L2
 // miss, the shared substrate. The simulator's own cores are wired to their
-// corePath directly and never come through here; callers driving a System
-// by hand must do so from a single goroutine.
+// corePath directly and never come through here.
 func (s *System) Access(core int, now uint64, addr uint64, write bool, pc uint64) uint64 {
 	return s.paths[core].Access(core, now, addr, write, pc)
 }
@@ -211,7 +195,7 @@ func (p *corePath) Access(_ int, now uint64, addr uint64, write bool, pc uint64)
 }
 
 // CompletesPrivately implements cpu.PrivateProber: a reference that hits
-// the L1 makes no Substrate call (a hit evicts nothing and never prefetches),
+// the L1 makes no substrate call (a hit evicts nothing and never prefetches),
 // so the serial loop may run it outside the global order. The L1 belongs to
 // this core alone, so the answer holds until the core issues the
 // reference, and the lookup's answer is reused by that access.
@@ -220,11 +204,11 @@ func (p *corePath) CompletesPrivately(addr uint64) bool {
 	return hit
 }
 
-// access walks the private hierarchy and, on an L2 miss, crosses into the
-// substrate. Everything it touches before p.sub is per-core state: that is
-// the independence property the parallel engine relies on, so a change that
-// makes this function read or write shared state must also teach
-// parallel.go about the new ordering point.
+// access walks the private hierarchy and, on an L2 miss or a dirty L2
+// victim, crosses into the substrate. Everything it touches before p.sub is
+// per-core state: that is what lets the event loop run L1 hits ahead of the
+// global order (CompletesPrivately), so a change that makes this function
+// read or write shared state elsewhere must also revisit that rule.
 func (p *corePath) access(now uint64, block uint64, write bool, pc uint64, demand bool) uint64 {
 	// L1 lookup.
 	p.scratchL1 = cache.Access{Block: block, Core: 0, PC: pc, Write: write, Demand: demand}
@@ -278,7 +262,7 @@ func (p *corePath) FunctionalAccess(addr uint64, write bool, pc uint64) {
 }
 
 // funcAccess is access without time: same lookups, same order, no
-// reservations. Runs only on the serial goroutine (see corePath.fsub).
+// reservations.
 func (p *corePath) funcAccess(block uint64, write bool, pc uint64, demand bool) {
 	p.scratchL1 = cache.Access{Block: block, Core: 0, PC: pc, Write: write, Demand: demand}
 	r1 := p.l1.Access(&p.scratchL1)
@@ -296,13 +280,13 @@ func (p *corePath) funcAccess(block uint64, write bool, pc uint64, demand bool) 
 	p.scratchL2 = cache.Access{Block: block, Core: 0, PC: pc, Write: write, Demand: demand}
 	r2 := p.l2.Access(&p.scratchL2)
 	if r2.EvictedValid && r2.Evicted.Dirty {
-		p.fsub.writebackFunc(p.id, r2.Evicted.Block)
+		p.sub.writebackFunc(p.id, r2.Evicted.Block)
 	}
 	if r2.Hit {
 		return
 	}
 
-	p.fsub.fetchFunc(p.id, block, pc, write, demand)
+	p.sub.fetchFunc(p.id, block, pc, write, demand)
 }
 
 // funcWritebackToL2 is writebackToL2 without time.
@@ -310,7 +294,7 @@ func (p *corePath) funcWritebackToL2(block uint64) {
 	p.scratchWB = cache.Access{Block: block, Core: 0, Write: true, Demand: false, Writeback: true}
 	r := p.l2.Access(&p.scratchWB)
 	if r.EvictedValid && r.Evicted.Dirty {
-		p.fsub.writebackFunc(p.id, r.Evicted.Block)
+		p.sub.writebackFunc(p.id, r.Evicted.Block)
 	}
 }
 
