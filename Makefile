@@ -24,12 +24,16 @@ test-race-sched:
 
 # Short fuzzing passes: the event loop against its strict-order oracle
 # (random mixes, policies, budgets, sampled or detailed fidelity and batch
-# caps must reproduce the maxBatch=1 result fingerprint bit for bit), and
-# sim.Config.Validate against New and a tiny Run (every config it accepts
-# must build and run without panicking).
+# caps must reproduce the maxBatch=1 result fingerprint bit for bit),
+# sim.Config.Validate and schedule.Job.Validate against a tiny Run (every
+# config or job they accept must build and run without panicking), and the
+# segment store against arbitrary file contents (never an open error or a
+# panic, every bad line counted, maintenance keeps what it served).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchInvariance$$' -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzConfigValidate$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzJobValidate$$' -fuzztime 5s ./internal/schedule
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentStore$$' -fuzztime 5s ./internal/schedule
 
 vet:
 	$(GO) vet ./...
@@ -52,30 +56,16 @@ docs-check:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/experiments
 
-# CI smoke: regenerate a representative figure/table set at Tiny fidelity
-# through the shared scheduler and emit the structured artifact CI uploads
-# as the perf trajectory (BENCH_*.json), plus one-shot benchmarks
-# (-benchtime 1x: a smoke that the benches run, not a timing claim):
-# BENCH_policy_victim.txt for the policy layer, and BENCH_hotpath.json for
-# the Mix16 core loop and victim selection. BENCH_sampling.json carries the
-# sampled-fidelity headline (speedup + ipc-err-pct vs the detailed
-# reference at paper-scale budgets) as custom benchmark metrics.
+# CI smoke: run the benchmark code once (-benchtime 1x: a smoke that the
+# benches run, not a timing claim; perfbench/ is the repository benchmark)
+# for policy victim selection, per-family trace generation and the
+# sampled-fidelity headline; then check cross-harness dedup through the
+# on-disk store (scripts/dedup_smoke.sh).
 bench-smoke: build
-	$(GO) run ./cmd/paperfig -fig 1 -tiny -stats -cache-dir .simcache -json BENCH_paperfig_fig1.json
-	$(GO) run ./cmd/paperfig -fig 6 -tiny -stats -cache-dir .simcache -json BENCH_paperfig_fig6.json
-	$(GO) test -bench 'Victim|FillChurn' -benchtime 1x -run '^$$' ./internal/policy > BENCH_policy_victim.txt || { cat BENCH_policy_victim.txt; exit 1; }
-	cat BENCH_policy_victim.txt
-	$(GO) test -bench 'RunMix16$$' -benchmem -benchtime 1x -run '^$$' ./internal/sim > BENCH_hotpath.txt || { cat BENCH_hotpath.txt; exit 1; }
-	$(GO) test -bench 'Victim$$|VictimDistant$$|VictimAllWays$$' -benchmem -benchtime 1x -run '^$$' ./internal/policy >> BENCH_hotpath.txt || { cat BENCH_hotpath.txt; exit 1; }
-	cat BENCH_hotpath.txt
-	$(GO) run ./cmd/benchjson < BENCH_hotpath.txt > BENCH_hotpath.json
-	$(GO) test -bench 'BenchmarkNext' -benchmem -benchtime 200000x -run '^$$' ./internal/trace > BENCH_tracegen.txt || { cat BENCH_tracegen.txt; exit 1; }
-	cat BENCH_tracegen.txt
-	$(GO) run ./cmd/benchjson < BENCH_tracegen.txt > BENCH_tracegen.json
-	$(GO) test -bench 'SamplingFidelity$$' -benchtime 1x -run '^$$' ./internal/sim > BENCH_sampling.txt || { cat BENCH_sampling.txt; exit 1; }
-	cat BENCH_sampling.txt
-	$(GO) run ./cmd/benchjson < BENCH_sampling.txt > BENCH_sampling.json
-	$(GO) test -race -run 'TestServeLoad' -count=1 -v ./internal/serve
+	$(GO) test -bench 'Victim|FillChurn' -benchtime 1x -run '^$$' ./internal/policy
+	$(GO) test -bench 'BenchmarkNext' -benchtime 1x -run '^$$' ./internal/trace
+	$(GO) test -bench 'SamplingFidelity$$' -benchtime 1x -run '^$$' ./internal/sim
+	sh scripts/dedup_smoke.sh
 
 # End-to-end smoke of the serving layer: paperfigd up, `paperfig -server`
 # output byte-identical to a local run, SIGTERM drains in-flight work.
@@ -85,7 +75,7 @@ serve-smoke: build
 # CI allocation gate: the measured simulation loop must be allocation-free
 # at steady state (testing.AllocsPerRun == 0, see internal/sim/alloc_test.go)
 # and the policy/sim hot-path benchmarks must run with -benchmem so a
-# regression shows up as allocs/op in the artifact, not just as time.
+# regression shows up as allocs/op in the log, not just as time.
 allocs-gate:
 	$(GO) test -run 'TestMeasuredLoopAllocFree' -count=1 -v ./internal/sim
 	$(GO) test -bench 'Victim$$|VictimDistant$$|VictimAllWays$$' -benchmem -benchtime 1x -run '^$$' ./internal/policy
@@ -98,4 +88,4 @@ paperfig:
 ci: build lint docs-check test test-race
 
 clean:
-	rm -rf .simcache BENCH_*.json BENCH_*.txt paperfig.json
+	rm -rf .simcache paperfig.json

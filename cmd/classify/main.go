@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/prof"
+	"repro/internal/schedule"
 )
 
 func main() {
@@ -36,7 +37,6 @@ func main() {
 		Scale:        *scale,
 		MeasureInstr: *measure,
 		Seed:         *seed,
-		Parallelism:  *par,
 	}
 	if *tiny {
 		preset := experiments.Tiny()
@@ -51,6 +51,10 @@ func main() {
 				opt.MeasureInstr = *measure
 			}
 		})
+	}
+
+	if *par > 0 {
+		schedule.Shared().SetPoolSize(*par)
 	}
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)

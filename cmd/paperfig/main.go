@@ -21,7 +21,7 @@
 //	-measure N       instructions/app measured     (default 800000)
 //	-warmup N        instructions/app warmed up    (default 200000)
 //	-seed N          experiment seed               (default 42)
-//	-parallel N      concurrent simulations        (default GOMAXPROCS)
+//	-parallel N      worker pool size              (default GOMAXPROCS)
 //
 // Sampled fidelity (SMARTS-style periodic sampling):
 //
@@ -111,8 +111,8 @@ func fidelityFlags(fs *flag.FlagSet) *experiments.Options {
 // flagged base options. full and tiny are mutually exclusive (previously
 // -tiny silently won the combination). With a preset selected, explicitly-
 // passed fidelity flags still override it (e.g. `-tiny -seed 7` is Tiny at
-// seed 7); -parallel and the sampling axis always carry over, since
-// presets say nothing about them.
+// seed 7); the sampling axis always carries over, since presets say
+// nothing about it.
 func fidelityOptions(base experiments.Options, full, tiny bool, explicit map[string]bool) (experiments.Options, error) {
 	if full && tiny {
 		return experiments.Options{}, fmt.Errorf("-full and -tiny are mutually exclusive; pick one fidelity preset")
@@ -124,7 +124,6 @@ func fidelityOptions(base experiments.Options, full, tiny bool, explicit map[str
 	if tiny {
 		preset = experiments.Tiny()
 	}
-	preset.Parallelism = base.Parallelism
 	preset.Sample = base.Sample
 	if explicit["cache-scale"] {
 		preset.Scale = base.Scale
@@ -185,7 +184,6 @@ func main() {
 	}
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	base.Parallelism = *par
 	base.Sample = sampleCfg
 	opt, err := fidelityOptions(*base, *full, *tiny, explicit)
 	if err != nil {
@@ -246,6 +244,9 @@ func main() {
 	}
 
 	sched := schedule.Shared()
+	if *par > 0 {
+		sched.SetPoolSize(*par)
+	}
 	if *cacheDir != "" {
 		if *server != "" {
 			fmt.Fprintln(os.Stderr, "paperfig: -cache-dir is ignored with -server (the server owns its own store)")

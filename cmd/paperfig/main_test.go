@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -16,7 +20,6 @@ func baseOpt() experiments.Options {
 		WarmupInstr:  150_000,
 		MeasureInstr: 600_000,
 		Seed:         42,
-		Parallelism:  3,
 	}
 }
 
@@ -38,7 +41,7 @@ func TestFidelityPresetsAndOverrides(t *testing.T) {
 		t.Fatalf("no-preset passthrough: got %+v, err %v", got, err)
 	}
 
-	// -tiny: preset fidelity, but -parallel and sampling carry over.
+	// -tiny: preset fidelity, but sampling carries over.
 	in := baseOpt()
 	in.Sample = sim.SampleConfig{Windows: 8}
 	got, err := fidelityOptions(in, false, true, map[string]bool{})
@@ -46,7 +49,6 @@ func TestFidelityPresetsAndOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := experiments.Tiny()
-	want.Parallelism = in.Parallelism
 	want.Sample = in.Sample
 	if got != want {
 		t.Errorf("-tiny: got %+v, want %+v", got, want)
@@ -99,5 +101,32 @@ func TestFidelityFlagDefaultsAreQuick(t *testing.T) {
 	}
 	if *got != experiments.Quick() {
 		t.Errorf("fidelity flag defaults %+v != experiments.Quick() %+v", *got, experiments.Quick())
+	}
+}
+
+// TestBadSamplingFlagsExitWithError runs the built command: sampling flags
+// that no window layout can satisfy are rejected before any simulation,
+// with exit status 2 and a one-line error, never a panic stack.
+func TestBadSamplingFlagsExitWithError(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	bin := filepath.Join(t.TempDir(), "paperfig")
+	if out, err := exec.Command(goTool, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, windows := range []string{"1000000", "-5"} {
+		cmd := exec.Command(bin, "-fig", "1", "-tiny", "-sample-windows", windows)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("-sample-windows %s: exit %v, want status 2", windows, err)
+		}
+		if msg := strings.TrimSpace(stderr.String()); strings.Contains(msg, "\n") || !strings.HasPrefix(msg, "paperfig: ") {
+			t.Errorf("-sample-windows %s: stderr is not a one-line error:\n%s", windows, msg)
+		}
 	}
 }

@@ -149,8 +149,6 @@ type Core struct {
 
 	// Stats.
 	memAccesses uint64
-	loadIssued  uint64
-	storeCount  uint64
 	stallCycles uint64
 }
 
@@ -292,10 +290,7 @@ func (c *Core) Step() uint64 {
 
 	done := c.mem.Access(c.id, c.clock, op.Addr, op.Write, op.PC)
 	c.memAccesses++
-	if op.Write {
-		c.storeCount++
-	} else {
-		c.loadIssued++
+	if !op.Write {
 		c.pushLoad(inflight{instr: c.retired, done: done})
 	}
 	c.advance(1) // the memory instruction itself
@@ -409,8 +404,6 @@ func (c *Core) Drain() uint64 {
 func (c *Core) ResetStats() {
 	c.retired = 0
 	c.memAccesses = 0
-	c.loadIssued = 0
-	c.storeCount = 0
 	c.stallCycles = 0
 	for i := range c.loads {
 		c.loads[i].instr = 0

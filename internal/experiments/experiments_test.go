@@ -16,7 +16,6 @@ func tinyOpt() Options {
 		WarmupInstr:  20_000,
 		MeasureInstr: 60_000,
 		Seed:         42,
-		Parallelism:  2,
 	}
 }
 

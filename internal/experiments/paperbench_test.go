@@ -22,12 +22,6 @@ import (
 	"repro/internal/experiments"
 )
 
-func benchOpt() experiments.Options {
-	o := experiments.Tiny()
-	o.Parallelism = 2
-	return o
-}
-
 // printOnce guards table printing so -benchtime multipliers do not spam.
 var printOnce sync.Map
 
@@ -49,7 +43,7 @@ func BenchmarkTable2Storage(b *testing.B) {
 }
 
 func BenchmarkTable4Classification(b *testing.B) {
-	opt := benchOpt()
+	opt := experiments.Tiny()
 	var rows []experiments.Table4Row
 	for i := 0; i < b.N; i++ {
 		rows = experiments.Table4(opt)
@@ -58,7 +52,7 @@ func BenchmarkTable4Classification(b *testing.B) {
 }
 
 func BenchmarkFig1ForcedBRRIP(b *testing.B) {
-	opt := benchOpt()
+	opt := experiments.Tiny()
 	var res experiments.Fig1Result
 	for i := 0; i < b.N; i++ {
 		res = experiments.Fig1(opt)
@@ -69,7 +63,7 @@ func BenchmarkFig1ForcedBRRIP(b *testing.B) {
 }
 
 func BenchmarkFig3SixteenCore(b *testing.B) {
-	opt := benchOpt()
+	opt := experiments.Tiny()
 	var res experiments.Fig3Result
 	for i := 0; i < b.N; i++ {
 		res = experiments.Fig3(opt)
@@ -78,7 +72,7 @@ func BenchmarkFig3SixteenCore(b *testing.B) {
 }
 
 func BenchmarkFig4Fig5PerApp(b *testing.B) {
-	opt := benchOpt()
+	opt := experiments.Tiny()
 	var f4, f5 experiments.Table
 	for i := 0; i < b.N; i++ {
 		res := experiments.Fig3(opt)
@@ -89,7 +83,7 @@ func BenchmarkFig4Fig5PerApp(b *testing.B) {
 }
 
 func BenchmarkFig6Bypass(b *testing.B) {
-	opt := benchOpt()
+	opt := experiments.Tiny()
 	var res experiments.Fig6Result
 	for i := 0; i < b.N; i++ {
 		res = experiments.Fig6(opt)
@@ -98,7 +92,7 @@ func BenchmarkFig6Bypass(b *testing.B) {
 }
 
 func BenchmarkFig7LargerCaches(b *testing.B) {
-	opt := benchOpt()
+	opt := experiments.Tiny()
 	opt.MaxWorkloads = 2
 	var res experiments.Fig7Result
 	for i := 0; i < b.N; i++ {
@@ -108,7 +102,7 @@ func BenchmarkFig7LargerCaches(b *testing.B) {
 }
 
 func BenchmarkFig8Scalability(b *testing.B) {
-	opt := benchOpt()
+	opt := experiments.Tiny()
 	opt.MaxWorkloads = 2
 	var res experiments.Fig8Result
 	for i := 0; i < b.N; i++ {
@@ -120,7 +114,7 @@ func BenchmarkFig8Scalability(b *testing.B) {
 }
 
 func BenchmarkTable7Metrics(b *testing.B) {
-	opt := benchOpt()
+	opt := experiments.Tiny()
 	opt.MaxWorkloads = 2
 	var res experiments.Table7Result
 	for i := 0; i < b.N; i++ {
@@ -130,7 +124,7 @@ func BenchmarkTable7Metrics(b *testing.B) {
 }
 
 func BenchmarkAblationInterval(b *testing.B) {
-	opt := benchOpt()
+	opt := experiments.Tiny()
 	opt.MaxWorkloads = 2
 	var res experiments.AblationResult
 	for i := 0; i < b.N; i++ {
@@ -140,7 +134,7 @@ func BenchmarkAblationInterval(b *testing.B) {
 }
 
 func BenchmarkAblationSets(b *testing.B) {
-	opt := benchOpt()
+	opt := experiments.Tiny()
 	opt.MaxWorkloads = 2
 	var res experiments.AblationResult
 	for i := 0; i < b.N; i++ {
@@ -150,7 +144,7 @@ func BenchmarkAblationSets(b *testing.B) {
 }
 
 func BenchmarkAblationRanges(b *testing.B) {
-	opt := benchOpt()
+	opt := experiments.Tiny()
 	opt.MaxWorkloads = 2
 	var res experiments.AblationResult
 	for i := 0; i < b.N; i++ {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+
+	"repro/internal/sim"
 )
 
 // Request is the wire-shaped form of one paperfig experiment selection —
@@ -100,7 +102,17 @@ func (r Request) Validate() error {
 	if r.Table != 2 && r.Opt.MeasureInstr == 0 {
 		return fmt.Errorf("experiments: request needs a measured-instruction budget (options.MeasureInstr)")
 	}
-	return nil
+	if err := r.Opt.Sample.Validate(); err != nil {
+		return err
+	}
+	if r.Table == 2 {
+		return nil
+	}
+	sample := r.Opt.Sample
+	if r.Sampling && !sample.Enabled() {
+		sample = sim.DefaultSample() // what SamplingValidation runs
+	}
+	return sample.FitBudget(r.Opt.MeasureInstr)
 }
 
 // Run executes the request at its embedded fidelity, emitting each table

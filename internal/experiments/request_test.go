@@ -3,10 +3,19 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func TestRequestValidate(t *testing.T) {
 	opt := Tiny()
+	withSample := func(sc sim.SampleConfig) Options {
+		o := opt
+		o.Sample = sc
+		return o
+	}
+	tinyBudget := opt
+	tinyBudget.MeasureInstr = sim.DefaultSampleWindows - 1
 	valid := []Request{
 		{Fig: 3, Opt: opt},
 		{Fig: 8, Scale: true, Opt: opt},
@@ -14,6 +23,8 @@ func TestRequestValidate(t *testing.T) {
 		{Table: 7, Opt: opt},
 		{Ablation: "sets", Opt: opt},
 		{Compare: true, Opt: opt},
+		{Fig: 1, Opt: withSample(sim.DefaultSample())},
+		{Fig: 1, Opt: tinyBudget}, // detailed: any budget fits
 	}
 	for _, r := range valid {
 		if err := r.Validate(); err != nil {
@@ -31,6 +42,12 @@ func TestRequestValidate(t *testing.T) {
 		{Request{Ablation: "nope", Opt: opt}, "unknown ablation"},
 		{Request{Fig: 3, Scale: true, Opt: opt}, "scale only applies"},
 		{Request{Fig: 3}, "instruction budget"},
+		{Request{Fig: 1, Opt: withSample(sim.SampleConfig{Windows: -5})}, "non-negative"},
+		{Request{Fig: 1, Opt: withSample(sim.SampleConfig{Windows: 1_000_000})}, "one instruction per window"},
+		{Request{Fig: 1, Opt: withSample(sim.SampleConfig{Windows: 2, DetailInstr: opt.MeasureInstr})}, "does not fit"},
+		// The sampling study falls back to the default layout, which must
+		// fit the budget too.
+		{Request{Sampling: true, Opt: tinyBudget}, "one instruction per window"},
 	}
 	for _, tc := range invalid {
 		err := tc.req.Validate()

@@ -6,7 +6,6 @@
 package experiments
 
 import (
-	"runtime"
 	"sync"
 
 	"repro/internal/bench"
@@ -28,8 +27,6 @@ type Options struct {
 	MeasureInstr uint64
 	// Seed drives workload generation and all policy sampling.
 	Seed uint64
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
-	Parallelism int
 	// AdaptInterval overrides ADAPT's monitoring interval in misses
 	// (0 = proportional default: 4x the LLC block count).
 	AdaptInterval uint64
@@ -75,21 +72,13 @@ func Tiny() Options {
 	}
 }
 
-func (o Options) workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// forEach runs fn(i) for i in [0, n) with at most workers() concurrent
-// submissions. Execution itself is bounded (and deduplicated) by the
-// scheduler's pool; this only caps how many jobs a single harness holds
-// in flight, honouring Options.Parallelism.
-func (o Options) forEach(n int, fn func(i int)) {
+// forEach runs fn(i) for i in [0, n) from one submitter per worker of
+// sched's pool: enough to keep every worker busy, while the pool alone
+// bounds how many simulations execute at once.
+func forEach(sched *schedule.Scheduler, n int, fn func(i int)) {
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < o.workers(); w++ {
+	for w := 0; w < min(sched.Gauges().PoolCap, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -239,8 +228,7 @@ func (r *Runner) AloneIPC(name string) float64 {
 // re-simulated. The solo-IPC baselines are submitted through the same
 // fan-out as the (mix, policy) grid rather than trailing it sequentially,
 // so they overlap the grid's longest simulations instead of serialising
-// after them. Options.Parallelism bounds this harness's in-flight
-// submissions; the scheduler's pool bounds the process.
+// after them. The scheduler's pool bounds how many run at once.
 func (r *Runner) RunStudy(study workload.Study, pols []PolicySpec) StudyRuns {
 	return r.RunStudyMixes(study, r.Opt.mixes(study), study.Name, pols)
 }
@@ -275,7 +263,7 @@ func (r *Runner) RunStudyMixes(study workload.Study, mixes []workload.Mix, segme
 
 	grid := len(mixes) * len(pols)
 	alone := make([]float64, len(names))
-	r.Opt.forEach(grid+len(names), func(i int) {
+	forEach(r.sched, grid+len(names), func(i int) {
 		if i >= grid {
 			alone[i-grid] = r.AloneIPC(names[i-grid])
 			return

@@ -82,7 +82,7 @@ func SamplingValidation(opt Options) SamplingResult {
 			legJob{legKey{mi, true}, sampledCfg})
 	}
 	resCh := make([]sim.Result, len(jobs))
-	r.Opt.forEach(len(jobs), func(i int) {
+	forEach(r.sched, len(jobs), func(i int) {
 		resCh[i] = r.sched.Run(schedule.Job{
 			Config:  jobs[i].cfg,
 			Names:   mixes[jobs[i].key.mix].Names,

@@ -78,21 +78,16 @@ func (s StudyRuns) WaitHistTable(title string, keys []string) Table {
 
 // bankAggregates sums each policy's per-bank DRAM counters over the
 // study's mixes, preserving bank order.
-func (s StudyRuns) bankAggregates(keys []string) map[string][]mem.BankStats {
-	out := map[string][]mem.BankStats{}
+func (s StudyRuns) bankAggregates(keys []string) map[string][]mem.Stats {
+	out := map[string][]mem.Stats{}
 	for _, k := range keys {
-		var agg []mem.BankStats
+		var agg []mem.Stats
 		for _, run := range s.ByPolicy[k] {
 			if agg == nil {
-				agg = make([]mem.BankStats, len(run.Result.DRAMBanks))
+				agg = make([]mem.Stats, len(run.Result.DRAMBanks))
 			}
 			for b, bs := range run.Result.DRAMBanks {
-				agg[b].Accesses += bs.Accesses
-				agg[b].RowHits += bs.RowHits
-				agg[b].RowConflicts += bs.RowConflicts
-				agg[b].Reads += bs.Reads
-				agg[b].Writes += bs.Writes
-				agg[b].QueueCycles += bs.QueueCycles
+				agg[b].Add(bs)
 			}
 		}
 		out[k] = agg
@@ -119,7 +114,7 @@ func (s StudyRuns) RowStateTable(title string, keys []string) Table {
 		Note:   "row-hit rate per DRAM bank (reservation-timeline row state), all apps and mixes",
 		Header: append([]string{"bank"}, keys...),
 	}
-	cell := func(bs mem.BankStats) string {
+	cell := func(bs mem.Stats) string {
 		if bs.Accesses == 0 {
 			return "-"
 		}
@@ -138,10 +133,9 @@ func (s StudyRuns) RowStateTable(title string, keys []string) Table {
 	}
 	all := []string{"all"}
 	for _, k := range keys {
-		var sum mem.BankStats
+		var sum mem.Stats
 		for _, bs := range agg[k] {
-			sum.Accesses += bs.Accesses
-			sum.RowHits += bs.RowHits
+			sum.Add(bs)
 		}
 		all = append(all, cell(sum))
 	}

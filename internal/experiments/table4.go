@@ -34,7 +34,7 @@ func Table4(opt Options) []Table4Row {
 func table4With(opt Options, sched *schedule.Scheduler) []Table4Row {
 	specs := bench.All()
 	rows := make([]Table4Row, len(specs))
-	opt.forEach(len(specs), func(i int) {
+	forEach(sched, len(specs), func(i int) {
 		rows[i] = measureOne(opt, sched, specs[i])
 	})
 	return rows

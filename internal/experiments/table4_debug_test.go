@@ -16,7 +16,7 @@ func TestDebugTable4(t *testing.T) {
 	if !testing.Verbose() {
 		t.Skip("run with -v to print the calibration table")
 	}
-	opt := Options{Scale: 64, WarmupInstr: 0, MeasureInstr: 600_000, Seed: 42, Parallelism: 2}
+	opt := Options{Scale: 64, WarmupInstr: 0, MeasureInstr: 600_000, Seed: 42}
 	rows := Table4(opt)
 	fmt.Printf("%-7s %8s %8s %9s | %8s %9s  class meas->paper\n", "name", "fpnA", "fpnS", "mpki", "fpnTgt", "mpkiTgt")
 	for _, r := range rows {

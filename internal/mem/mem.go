@@ -83,7 +83,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats aggregates access counters across all banks.
+// Stats counts DRAM traffic, for one bank (DDR2.BankStats, the per-bank
+// row-locality record behind Result.DRAMBanks and the Fig. 3 row-state
+// tables) or summed over banks (DDR2.Stats).
 type Stats struct {
 	Accesses     uint64
 	RowHits      uint64
@@ -93,8 +95,15 @@ type Stats struct {
 	QueueCycles  uint64 // cycles requests spent waiting for a busy bank
 }
 
-// Reset zeroes the counters.
-func (s *Stats) Reset() { *s = Stats{} }
+// Add accumulates o's counters into s.
+func (s *Stats) Add(o Stats) {
+	s.Accesses += o.Accesses
+	s.RowHits += o.RowHits
+	s.RowConflicts += o.RowConflicts
+	s.Reads += o.Reads
+	s.Writes += o.Writes
+	s.QueueCycles += o.QueueCycles
+}
 
 // RowHitRate returns the fraction of accesses that hit an open row.
 func (s Stats) RowHitRate() float64 {
@@ -104,37 +113,16 @@ func (s Stats) RowHitRate() float64 {
 	return float64(s.RowHits) / float64(s.Accesses)
 }
 
-// BankStats counts one bank's traffic — the per-bank row-locality record
-// behind Result.DRAMBanks and the Fig. 3 row-state tables.
-type BankStats struct {
-	Accesses     uint64
-	RowHits      uint64
-	RowConflicts uint64
-	Reads        uint64
-	Writes       uint64
-	QueueCycles  uint64
-}
-
-// RowHitRate returns the fraction of this bank's accesses that hit an open
-// row.
-func (b BankStats) RowHitRate() float64 {
-	if b.Accesses == 0 {
-		return 0
-	}
-	return float64(b.RowHits) / float64(b.Accesses)
-}
-
 // bankState is one bank's complete, self-contained state: its busy-interval
 // timeline, the open-row annotation track riding on it, and its counters.
 type bankState struct {
 	tl    timeline.Timeline
 	rows  timeline.Track
-	stats BankStats
+	stats Stats
 }
 
-// DDR2 is the memory timing model. Access calls for different banks may run
-// concurrently (each bank's state is self-contained); calls for the same
-// bank, and all Stats/Reset calls, must be serialized by the caller.
+// DDR2 is the memory timing model. It is not safe for concurrent use: the
+// simulator calls it from its single event loop.
 type DDR2 struct {
 	cfg          Config
 	blocksPerRow uint64
@@ -162,20 +150,14 @@ func (m *DDR2) Config() Config { return m.cfg }
 func (m *DDR2) Stats() Stats {
 	var s Stats
 	for i := range m.banks {
-		b := &m.banks[i].stats
-		s.Accesses += b.Accesses
-		s.RowHits += b.RowHits
-		s.RowConflicts += b.RowConflicts
-		s.Reads += b.Reads
-		s.Writes += b.Writes
-		s.QueueCycles += b.QueueCycles
+		s.Add(m.banks[i].stats)
 	}
 	return s
 }
 
 // BankStats returns a snapshot of every bank's counters, bank order.
-func (m *DDR2) BankStats() []BankStats {
-	out := make([]BankStats, len(m.banks))
+func (m *DDR2) BankStats() []Stats {
+	out := make([]Stats, len(m.banks))
 	for i := range m.banks {
 		out[i] = m.banks[i].stats
 	}
@@ -186,7 +168,7 @@ func (m *DDR2) BankStats() []BankStats {
 // over (microarchitectural state survives the warm-up boundary).
 func (m *DDR2) ResetStats() {
 	for i := range m.banks {
-		m.banks[i].stats = BankStats{}
+		m.banks[i].stats = Stats{}
 	}
 }
 

@@ -21,8 +21,8 @@ type TableData struct {
 }
 
 // Artifact is one experiment run's structured output: every table produced,
-// the options that produced them, and the scheduler traffic behind them.
-// CI uploads these as BENCH_*.json files to build a perf trajectory.
+// the options that produced them, and the scheduler traffic behind them
+// (paperfig -json).
 type Artifact struct {
 	Name        string      `json:"name"`
 	GeneratedAt time.Time   `json:"generated_at"`

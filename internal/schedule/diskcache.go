@@ -94,31 +94,44 @@ func (d *diskCache) load() error {
 		return fmt.Errorf("schedule: scan cache dir: %w", err)
 	}
 	for _, path := range matches {
-		f, err := os.Open(path)
+		bad, err := scanSegment(path, func(e segEntry, _ []byte) { d.index[e.Key] = e.Result })
 		if err != nil {
-			d.corrupt++
-			continue
+			bad = 1
 		}
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var e segEntry
-			if json.Unmarshal(line, &e) != nil || e.Schema != KeySchema || e.Key == "" {
-				d.corrupt++
-				continue
-			}
-			d.index[e.Key] = e.Result
-		}
-		if sc.Err() != nil {
-			d.corrupt++
-		}
-		f.Close()
+		d.corrupt += bad
 	}
 	return nil
+}
+
+// scanSegment calls fn, in file order, with every usable line of one
+// segment file: a JSON entry of the current KeySchema with a key. It
+// returns how many non-empty lines were unusable, counting an unreadable
+// tail as one line. This is the one usable-line rule the cache's open-time
+// scan and MaintainStore's compaction share.
+func scanSegment(path string, fn func(e segEntry, line []byte)) (bad uint64, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		var e segEntry
+		if json.Unmarshal(line, &e) != nil || e.Schema != KeySchema || e.Key == "" {
+			bad++
+			continue
+		}
+		fn(e, line)
+	}
+	if sc.Err() != nil {
+		bad++
+	}
+	return bad, nil
 }
 
 // loadErrors reports how many unusable lines the open-time scan skipped.

@@ -47,6 +47,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/bench"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -116,6 +117,29 @@ func (j Job) Key() string {
 		io.WriteString(h, "\x00"+n)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Validate reports whether the job can run: a buildable machine, one
+// registered benchmark per core, a measured budget and a sampling layout
+// that fits it. Harness-built jobs are valid by construction; callers that
+// take jobs from users (paperfigd's /v1/jobs) check them here, since Run
+// panics on each of these.
+func (j Job) Validate() error {
+	if err := j.Config.Validate(); err != nil {
+		return err
+	}
+	if len(j.Names) != j.Config.Cores {
+		return fmt.Errorf("schedule: job names %d vs cores %d", len(j.Names), j.Config.Cores)
+	}
+	for _, n := range j.Names {
+		if _, ok := bench.ByName(n); !ok {
+			return fmt.Errorf("schedule: unknown benchmark %q", n)
+		}
+	}
+	if j.Measure == 0 {
+		return fmt.Errorf("schedule: job needs a measured-instruction budget")
+	}
+	return j.Config.Sample.FitBudget(j.Measure)
 }
 
 func (j Job) run() sim.Result {
@@ -647,7 +671,7 @@ func resultBytes(key string, r sim.Result) int64 {
 	for i := range r.Apps {
 		n += int64(len(r.Apps[i].Cluster))
 	}
-	n += int64(len(r.DRAMBanks)) * int64(unsafe.Sizeof(mem.BankStats{}))
+	n += int64(len(r.DRAMBanks)) * int64(unsafe.Sizeof(mem.Stats{}))
 	return n
 }
 
@@ -656,6 +680,6 @@ func resultBytes(key string, r sim.Result) int64 {
 func cloneResult(r sim.Result) sim.Result {
 	out := r
 	out.Apps = append([]sim.AppResult(nil), r.Apps...)
-	out.DRAMBanks = append([]mem.BankStats(nil), r.DRAMBanks...)
+	out.DRAMBanks = append([]mem.Stats(nil), r.DRAMBanks...)
 	return out
 }

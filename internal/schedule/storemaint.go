@@ -1,9 +1,7 @@
 package schedule
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -82,7 +80,7 @@ func MaintainStore(root string, maxBytes int64) (StoreReport, error) {
 		return rep, fmt.Errorf("schedule: maintain store: %w", err)
 	}
 	sort.Strings(segs)
-	rep.BytesBefore = storeBytes(segs)
+	rep.BytesBefore = StoreBytes(root)
 
 	// Pass 2: compact duplicate-key and unusable lines per segment.
 	for _, path := range segs {
@@ -126,15 +124,16 @@ func MaintainStore(root string, maxBytes int64) (StoreReport, error) {
 		}
 	}
 
-	segs, _ = filepath.Glob(filepath.Join(dir, "*.seg"))
-	rep.BytesAfter = storeBytes(segs)
+	rep.BytesAfter = StoreBytes(root)
 	return rep, nil
 }
 
-// storeBytes sums the sizes of the given files.
-func storeBytes(paths []string) int64 {
+// StoreBytes returns the size on disk of the current-schema segment files
+// under a cache root (the directory handed to SetCacheDir).
+func StoreBytes(root string) int64 {
+	segs, _ := filepath.Glob(filepath.Join(root, schemaSlug(), "*.seg"))
 	var n int64
-	for _, p := range paths {
+	for _, p := range segs {
 		if st, err := os.Stat(p); err == nil {
 			n += st.Size()
 		}
@@ -147,43 +146,23 @@ func storeBytes(paths []string) int64 {
 // happened and how many lines were dropped; a segment with nothing to
 // drop is left untouched (no rewrite, no mtime churn).
 func compactSegment(path string) (bool, uint64, error) {
-	f, err := os.Open(path)
+	var (
+		order  []string
+		latest = map[string][]byte{}
+		dups   uint64
+	)
+	bad, err := scanSegment(path, func(e segEntry, line []byte) {
+		if _, seen := latest[e.Key]; seen {
+			dups++
+		} else {
+			order = append(order, e.Key)
+		}
+		latest[e.Key] = append([]byte(nil), line...)
+	})
 	if err != nil {
 		return false, 0, fmt.Errorf("schedule: compact: %w", err)
 	}
-	var (
-		order   []string
-		latest  = map[string][]byte{}
-		total   uint64
-		dropped uint64
-	)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		total++
-		var e segEntry
-		if json.Unmarshal(line, &e) != nil || e.Schema != KeySchema || e.Key == "" {
-			dropped++
-			continue
-		}
-		if _, seen := latest[e.Key]; !seen {
-			order = append(order, e.Key)
-		} else {
-			dropped++
-		}
-		latest[e.Key] = append([]byte(nil), line...)
-	}
-	scanErr := sc.Err()
-	f.Close()
-	if scanErr != nil {
-		// An unreadable tail: count what we could not parse and rewrite
-		// the readable prefix.
-		dropped++
-	}
+	dropped := bad + dups
 	if dropped == 0 {
 		return false, 0, nil
 	}

@@ -37,7 +37,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"path/filepath"
 	"runtime/debug"
 	"sync/atomic"
 	"time"
@@ -256,17 +255,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "decode job: "+err.Error())
 		return
 	}
-	if err := job.Config.Validate(); err != nil {
+	if err := job.Validate(); err != nil {
 		s.fail(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(job.Names) != job.Config.Cores {
-		s.fail(w, http.StatusBadRequest,
-			fmt.Sprintf("job names %d vs cores %d", len(job.Names), job.Config.Cores))
-		return
-	}
-	if job.Measure == 0 {
-		s.fail(w, http.StatusBadRequest, "job needs a measured-instruction budget")
 		return
 	}
 
@@ -361,7 +351,7 @@ func (s *Server) Snapshot() Statsz {
 	if s.cfg.CacheDir != "" {
 		st.Store = StoreStats{
 			Dir:      s.cfg.CacheDir,
-			Bytes:    storeSize(s.cfg.CacheDir),
+			Bytes:    schedule.StoreBytes(s.cfg.CacheDir),
 			MaxBytes: s.cfg.StoreMaxBytes,
 		}
 	}
@@ -416,16 +406,4 @@ func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
-// storeSize sums the current-schema segment files under root.
-func storeSize(root string) int64 {
-	var n int64
-	matches, _ := filepath.Glob(filepath.Join(root, "*", "*.seg"))
-	for _, p := range matches {
-		if st, err := os.Stat(p); err == nil {
-			n += st.Size()
-		}
-	}
-	return n
 }

@@ -243,23 +243,33 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestJobRejectsUnbuildableConfig: a job whose config would panic the
-// simulator's constructor is a malformed request, answered 400 before any
-// execution — not a recovered panic answered 500.
+// TestJobRejectsUnbuildableConfig: a job that would panic the simulator —
+// a config its constructor rejects, an unknown benchmark, a sampling layout
+// that does not fit the measured budget — is a malformed request, answered
+// 400 before any execution, not a recovered panic answered 500.
 func TestJobRejectsUnbuildableConfig(t *testing.T) {
 	_, hs := newTestServer(t, schedule.New(1))
-	for name, mutate := range map[string]func(*sim.Config){
-		"arbiter-cores":      func(c *sim.Config) { c.Arb.Cores = 1 },
-		"block-bytes-0":      func(c *sim.Config) { c.BlockBytes = 0 },
-		"block-bytes-48":     func(c *sim.Config) { c.BlockBytes = 48 },
-		"l1-sets-3":          func(c *sim.Config) { c.L1Sets = 3 },
-		"l2-sets-100":        func(c *sim.Config) { c.L2Sets = 100 },
-		"llc-sets-100":       func(c *sim.Config) { c.LLCSets = 100 },
-		"llc-policy-unknown": func(c *sim.Config) { c.LLCPolicy = "no-such-policy" },
-		"l2-policy-unknown":  func(c *sim.Config) { c.L2Policy = "no-such-policy" },
+	for name, mutate := range map[string]func(*schedule.Job){
+		"arbiter-cores":      func(j *schedule.Job) { j.Config.Arb.Cores = 1 },
+		"block-bytes-0":      func(j *schedule.Job) { j.Config.BlockBytes = 0 },
+		"block-bytes-48":     func(j *schedule.Job) { j.Config.BlockBytes = 48 },
+		"l1-sets-3":          func(j *schedule.Job) { j.Config.L1Sets = 3 },
+		"l2-sets-100":        func(j *schedule.Job) { j.Config.L2Sets = 100 },
+		"llc-sets-100":       func(j *schedule.Job) { j.Config.LLCSets = 100 },
+		"llc-policy-unknown": func(j *schedule.Job) { j.Config.LLCPolicy = "no-such-policy" },
+		"l2-policy-unknown":  func(j *schedule.Job) { j.Config.L2Policy = "no-such-policy" },
+		"unknown-benchmark":  func(j *schedule.Job) { j.Names[0] = "nosuch" },
+		"windows-over-budget": func(j *schedule.Job) {
+			j.Config.Sample = sim.SampleConfig{Windows: 100}
+			j.Measure = 10
+		},
+		"window-over-period": func(j *schedule.Job) {
+			j.Config.Sample = sim.SampleConfig{Windows: 2, DetailInstr: 900}
+			j.Measure = 1000
+		},
 	} {
 		job := stubJob(1)
-		mutate(&job.Config)
+		mutate(&job)
 		body, err := json.Marshal(job)
 		if err != nil {
 			t.Fatal(err)

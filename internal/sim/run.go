@@ -61,7 +61,7 @@ type Result struct {
 	// DRAMBanks is the per-bank DRAM counter snapshot for the measurement
 	// window — row hits/conflicts and queueing per bank, now a defensible
 	// measured claim because row state lives on the reservation timeline.
-	DRAMBanks []mem.BankStats
+	DRAMBanks []mem.Stats
 }
 
 // IPCs returns the per-app shared-mode IPC vector.

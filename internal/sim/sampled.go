@@ -71,13 +71,26 @@ func DefaultSample() SampleConfig {
 }
 
 // Validate reports whether the sampling configuration is usable on its own;
-// budget-dependent feasibility (the per-window detailed span must fit the
-// window period) is checked at Run time, when the measured budget is known.
+// budget-dependent feasibility is FitBudget's, since it needs the measured
+// budget.
 func (sc SampleConfig) Validate() error {
 	if sc.Windows < 0 {
 		return fmt.Errorf("sim: Sample.Windows must be non-negative, got %d", sc.Windows)
 	}
 	return nil
+}
+
+// FitBudget reports whether the sampling layout fits a measured budget: at
+// least one instruction per window, and each window's detailed span
+// (warm-up plus measured detail) within its period. A disabled
+// configuration fits every budget. Run panics on a layout that does not
+// fit, so callers that take budgets from users check them here first.
+func (sc SampleConfig) FitBudget(measure uint64) error {
+	if !sc.Enabled() {
+		return nil
+	}
+	_, err := sc.plan(measure)
+	return err
 }
 
 // samplePlan is the resolved per-window instruction layout for one measured
@@ -93,13 +106,12 @@ type samplePlan struct {
 }
 
 // plan resolves the sampling layout for a measured budget, deriving
-// defaults and validating feasibility. It panics on an infeasible explicit
-// configuration, matching New's loud-failure convention for bad configs.
-func (sc SampleConfig) plan(measure uint64) samplePlan {
+// defaults, or reports why an explicit configuration does not fit it.
+func (sc SampleConfig) plan(measure uint64) (samplePlan, error) {
 	p := samplePlan{windows: uint64(sc.Windows), measure: measure}
 	period := measure / p.windows
 	if period == 0 {
-		panic(fmt.Sprintf("sim: sampled mode needs at least one instruction per window (%d windows over %d measured)", sc.Windows, measure))
+		return p, fmt.Errorf("sim: sampled mode needs at least one instruction per window (%d windows over %d measured)", sc.Windows, measure)
 	}
 	p.detail = sc.DetailInstr
 	if p.detail == 0 {
@@ -112,15 +124,15 @@ func (sc SampleConfig) plan(measure uint64) samplePlan {
 	if p.warm == 0 {
 		p.warm = p.detail / 2
 	}
-	if p.detail+p.warm > period {
-		panic(fmt.Sprintf("sim: sampled window does not fit its period: detail %d + warm %d > %d (= %d measured / %d windows)",
-			p.detail, p.warm, period, measure, sc.Windows))
+	if p.detail > period || p.warm > period-p.detail {
+		return p, fmt.Errorf("sim: sampled window does not fit its period: detail %d + warm %d > %d (= %d measured / %d windows)",
+			p.detail, p.warm, period, measure, sc.Windows)
 	}
 	p.quantum = sc.QuantumCycles
 	if p.quantum == 0 {
 		p.quantum = DefaultSampleQuantum
 	}
-	return p
+	return p, nil
 }
 
 // windowEnd returns the cumulative retired-instruction target at which
@@ -251,7 +263,10 @@ func (s *System) runFunctionalUntil(target, quantum uint64, rates *sampleRates) 
 // detailed phase (warm and measured) — the functional gaps never touch
 // arbiter or DRAM state, so those fields describe detailed execution only.
 func (s *System) runSampled(warmup, measure uint64) Result {
-	p := s.cfg.Sample.plan(measure)
+	p, err := s.cfg.Sample.plan(measure)
+	if err != nil {
+		panic(err)
+	}
 
 	n := len(s.cores)
 	rates := newSampleRates(n)

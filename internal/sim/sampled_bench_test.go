@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// BenchmarkSamplingFidelity is the sampled-fidelity headline claim, pinned
-// as a CI artifact (BENCH_sampling.txt/json via cmd/benchjson): each
-// iteration runs the 4-core mixA machine at paper-scale budgets twice —
-// fully detailed and sampled at the default geometry — and reports the
-// user-CPU speedup together with the estimator's mean and worst per-app
-// IPC error against the detailed reference. The speedup is algorithmic
+// BenchmarkSamplingFidelity is the sampled-fidelity headline claim (CI's
+// bench-smoke runs it once): each iteration runs the 4-core mixA machine
+// at paper-scale budgets twice — fully detailed and sampled at the default
+// geometry — and reports the user-CPU speedup together with the
+// estimator's mean and worst per-app IPC error against the detailed
+// reference. The speedup is algorithmic
 // (same goroutine budget both legs), so the number is meaningful even on
 // a single-CPU runner.
 func BenchmarkSamplingFidelity(b *testing.B) {

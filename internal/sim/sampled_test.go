@@ -187,15 +187,33 @@ func TestSampledAccuracy(t *testing.T) {
 	}
 }
 
-// TestSamplePlanFeasibility pins plan's loud-failure contract for window
-// layouts that cannot fit their period.
+// TestSamplePlanFeasibility pins the feasibility rule FitBudget and Run
+// share: a window layout that cannot fit its period is an error, and Run
+// panics on it rather than measuring some other layout.
 func TestSamplePlanFeasibility(t *testing.T) {
+	for _, c := range []struct {
+		sc      SampleConfig
+		measure uint64
+		fits    bool
+	}{
+		{SampleConfig{Windows: 4, DetailInstr: 900, WarmInstr: 200}, 4_000, false}, // period 1000 < 1100
+		{SampleConfig{Windows: 4, DetailInstr: 800, WarmInstr: 200}, 4_000, true},
+		{SampleConfig{Windows: 100}, 10, false},                               // no instruction per window
+		{SampleConfig{Windows: 2, DetailInstr: math.MaxUint64}, 1_000, false}, // detail + warm overflows
+		{SampleConfig{}, 0, true},                                             // disabled
+	} {
+		if err := c.sc.FitBudget(c.measure); (err == nil) != c.fits {
+			t.Errorf("%+v over %d: FitBudget = %v, want fits=%v", c.sc, c.measure, err, c.fits)
+		}
+	}
+	cfg := quickConfig(1)
+	cfg.Sample = SampleConfig{Windows: 4, DetailInstr: 900, WarmInstr: 200}
 	defer func() {
 		if recover() == nil {
 			t.Error("infeasible sample plan did not panic")
 		}
 	}()
-	SampleConfig{Windows: 4, DetailInstr: 900, WarmInstr: 200}.plan(4_000) // period 1000 < 1100
+	NewFromNames(cfg, []string{"mcf"}).Run(0, 4_000)
 }
 
 // TestSampleAxisInConfigFingerprint pins the cache-keying rule: the sampling

@@ -4,8 +4,7 @@ import "testing"
 
 // Trace-generation microbenchmarks: scalar Next versus the batched
 // NextBatch delivery path, per family and for the MarkovBurst wrapper.
-// CI's bench-smoke runs these once and emits BENCH_tracegen.json via
-// cmd/benchjson, so the batched-path speedup is tracked across commits.
+// CI's bench-smoke runs each once so they cannot rot.
 
 const benchBatch = 64
 
