@@ -26,14 +26,17 @@ test-race-sched:
 # (random mixes, policies, budgets, sampled or detailed fidelity and batch
 # caps must reproduce the maxBatch=1 result fingerprint bit for bit),
 # sim.Config.Validate and schedule.Job.Validate against a tiny Run (every
-# config or job they accept must build and run without panicking), and the
+# config or job they accept must build and run without panicking), the
 # segment store against arbitrary file contents (never an open error or a
-# panic, every bad line counted, maintenance keeps what it served).
+# panic, every bad line counted, maintenance keeps what it served), and the
+# cache's fast policy dispatch against its reference path on random
+# geometries (every policy must make identical decisions either way).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchInvariance$$' -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzConfigValidate$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzJobValidate$$' -fuzztime 5s ./internal/schedule
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentStore$$' -fuzztime 5s ./internal/schedule
+	$(GO) test -run '^$$' -fuzz '^FuzzDispatch$$' -fuzztime 5s ./internal/policy
 
 vet:
 	$(GO) vet ./...

@@ -17,8 +17,8 @@ const MaxRRPV = 3
 // The engine lives in this package (rather than internal/policy, where the
 // policies that embed it are defined) so that the cache's per-access fast
 // path can invoke Promote/VictimFor/Invalidate as concrete methods instead
-// of through the ReplacementPolicy interface — see HotProfile.
-// internal/policy aliases it back (policy.Engine) for its public API.
+// of through the ReplacementPolicy interface — see HotProfile. The
+// policies (policy.RRIP, SHiP, EAF, ADAPT) embed cache.Engine directly.
 //
 // The engine also tracks line validity (learned from OnFill/OnEvict
 // callbacks) so that invalid ways are consumed before any valid line is

@@ -67,7 +67,7 @@ func (c Config) withDefaults() Config {
 // Until the first interval completes, every application is treated as Low
 // priority, which makes ADAPT behave like SRRIP — the neutral default.
 type ADAPT struct {
-	policy.Engine
+	cache.Engine
 	cfg     Config
 	sampler *Sampler
 
@@ -88,7 +88,7 @@ func NewADAPT(cfg Config) *ADAPT {
 	cfg = cfg.withDefaults()
 	g := cfg.Geometry
 	a := &ADAPT{
-		Engine: policy.NewEngine(g),
+		Engine: cache.NewEngine(g),
 		cfg:    cfg,
 		sampler: NewSampler(SamplerConfig{
 			Sets:          g.Sets,

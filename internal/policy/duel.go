@@ -1,18 +1,17 @@
 package policy
 
-import (
-	"repro/internal/cache"
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
-// Set-dueling machinery shared by DRRIP and TA-DRRIP.
+// Set-dueling machinery of the dueling RRIP members (DRRIP, TA-DRRIP).
 //
 // A small number of "leader" sets is dedicated to each competing insertion
-// policy; a saturating PSEL counter tallies their demand misses (misses in
-// SRRIP leaders increment, misses in BRRIP leaders decrement) and the
-// remaining "follower" sets adopt whichever policy the counter favours.
-// The paper's description (§2): 10-bit counter, switching threshold 512,
-// 64 (or 128) dedicated sets per policy.
+// rule (long = SRRIP, bimodal = BRRIP); a saturating PSEL counter tallies
+// their demand misses (misses in SRRIP leaders increment, misses in BRRIP
+// leaders decrement) and the remaining "follower" sets adopt whichever rule
+// the counter favours. RRIP owns one selector (DRRIP) or one per core
+// (TA-DRRIP); every leader set belongs to one selector. The paper's
+// description (§2): 10-bit counter, switching threshold 512, 64 (or 128)
+// dedicated sets per policy.
 
 // Leader-set roles.
 const (
@@ -22,10 +21,10 @@ const (
 )
 
 // duelMap assigns roles to sets, packed one uint16 per set: the role in the
-// low two bits, the owning thread above them. For DRRIP the owner is always
-// 0; for TA-DRRIP each thread has its own leader sets and PSEL. Leader-set
-// resolution sits on the per-fill hot path, and the packed form answers
-// both questions (role and owner) with a single dense load.
+// low two bits, the owning selector ("thread") above them. For DRRIP the
+// owner is always 0; for TA-DRRIP each thread has its own leader sets and
+// PSEL. Leader-set resolution sits on the per-fill hot path, and the packed
+// form answers both questions (role and owner) with a single dense load.
 type duelMap struct {
 	code []uint16 // per set: owner<<2 | role
 }
@@ -128,92 +127,3 @@ func (p *psel) brripMiss() {
 // preferBRRIP reports whether followers should use BRRIP (SRRIP has been
 // missing more).
 func (p *psel) preferBRRIP() bool { return p.value >= p.threshold }
-
-// DRRIP duels SRRIP against BRRIP with a single global PSEL. Table 3 uses
-// DRRIP at the private L2s, where a single selector per cache is exactly the
-// original proposal.
-type DRRIP struct {
-	Engine
-	duel *duelMap
-	sel  psel
-	eps  []EpsilonCounter
-}
-
-// NewDRRIP builds a DRRIP policy. Options used: Seed, SD, PSEL width via
-// opt (zero values select the paper's 64 sets and 10 bits).
-func NewDRRIP(g cache.Geometry, opt Options) *DRRIP {
-	sd := effectiveSD(g.Sets, 1, opt.SD)
-	eps := make([]EpsilonCounter, g.Cores)
-	for i := range eps {
-		eps[i] = NewEpsilonCounter(BRRIPEpsilonPeriod)
-	}
-	return &DRRIP{
-		Engine: NewEngine(g),
-		duel:   newDuelMap(g.Sets, 1, sd, opt.Seed),
-		sel:    newPSEL(PSELBits),
-		eps:    eps,
-	}
-}
-
-// Name implements cache.ReplacementPolicy.
-func (p *DRRIP) Name() string { return "drrip" }
-
-// OnHit promotes demand hits.
-func (p *DRRIP) OnHit(a *cache.Access, set, way int) {
-	if a.Demand {
-		p.Promote(set, way)
-	}
-}
-
-// OnMiss updates the dueling selector on demand misses in leader sets.
-func (p *DRRIP) OnMiss(a *cache.Access, set int) {
-	if !a.Demand {
-		return
-	}
-	switch p.duel.role(set) {
-	case leaderSRRIP:
-		p.sel.srripMiss()
-	case leaderBRRIP:
-		p.sel.brripMiss()
-	}
-}
-
-// FillDecision always allocates with the engine's (mask-aware) victim.
-func (p *DRRIP) FillDecision(a *cache.Access, set int) (int, bool) {
-	return p.VictimFor(a, set), true
-}
-
-// OnFill applies the set's policy: leader sets use their dedicated policy,
-// followers use the PSEL winner.
-func (p *DRRIP) OnFill(a *cache.Access, set, way int) {
-	if !a.Demand {
-		p.SetRRPV(set, way, NonDemandRRPV(a))
-		return
-	}
-	useBRRIP := false
-	switch p.duel.role(set) {
-	case leaderSRRIP:
-		useBRRIP = false
-	case leaderBRRIP:
-		useBRRIP = true
-	default:
-		useBRRIP = p.sel.preferBRRIP()
-	}
-	p.SetRRPV(set, way, p.insertValue(a.Core, useBRRIP))
-}
-
-func (p *DRRIP) insertValue(core int, useBRRIP bool) uint8 {
-	if !useBRRIP {
-		return MaxRRPV - 1
-	}
-	if p.eps[core].Fire() {
-		return MaxRRPV - 1
-	}
-	return MaxRRPV
-}
-
-// OnEvict implements cache.ReplacementPolicy.
-func (p *DRRIP) OnEvict(set, way int, ev cache.EvictedLine) { p.Invalidate(set, way) }
-
-// PreferBRRIP exposes the selector state for tests.
-func (p *DRRIP) PreferBRRIP() bool { return p.sel.preferBRRIP() }

@@ -167,7 +167,7 @@ func TestDRRIPLearnsBRRIPUnderThrash(t *testing.T) {
 	// Working set = 4x cache capacity, cyclic: SRRIP leader sets miss every
 	// time, BRRIP leaders keep a trickle, so PSEL must drift toward BRRIP.
 	thrashCache(c, 0, uint64(4*g.Blocks()), 40)
-	if !p.PreferBRRIP() {
+	if !p.PreferBRRIP(0) {
 		t.Fatal("DRRIP failed to learn BRRIP on a thrashing working set")
 	}
 }
@@ -178,7 +178,7 @@ func TestDRRIPStaysSRRIPOnFriendlyWorkload(t *testing.T) {
 	c := newCache(t, g, p)
 	// Working set = half the cache: everyone hits after warm-up; PSEL stays low.
 	thrashCache(c, 0, uint64(g.Blocks()/2), 50)
-	if p.PreferBRRIP() {
+	if p.PreferBRRIP(0) {
 		t.Fatal("DRRIP switched to BRRIP on a cache-friendly workload")
 	}
 }
@@ -265,7 +265,7 @@ func TestTADRRIPSD128Variant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ta := pol.(*TADRRIP)
+	ta := pol.(*RRIP)
 	if ta.SD() != 128 {
 		t.Fatalf("SD = %d, want 128", ta.SD())
 	}

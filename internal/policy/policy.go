@@ -15,6 +15,9 @@
 //     described in the ADAPT paper: present-in-filter inserts at RRPV 2,
 //     absent at RRPV 3, Bloom filter cleared when full.
 //
+// SRRIP, BRRIP, DRRIP and TA-DRRIP are one type, RRIP: they share the RRPV
+// mechanism and differ only in the insertion rule of a demand fill.
+//
 // Each policy also has a "bypass" variant (Figure 6): fills that the policy
 // would insert with the distant value (RRPV 3) are not allocated at all.
 //
@@ -44,7 +47,7 @@ const (
 )
 
 // MaxRRPV is the saturating re-reference prediction value (2-bit RRPV),
-// re-exported from internal/cache where the Engine now lives.
+// re-exported from internal/cache, where the Engine lives.
 const MaxRRPV = cache.MaxRRPV
 
 // Non-demand insertion values shared by every RRIP-family policy in this
@@ -56,6 +59,45 @@ const (
 	prefetchRRPV  = MaxRRPV - 1
 	writebackRRPV = MaxRRPV
 )
+
+// NonDemandRRPV is the shared insertion rule for prefetch and write-back
+// fills (see the package comment and ARCHITECTURE.md, "Modelling
+// substitutions").
+func NonDemandRRPV(a *cache.Access) uint8 {
+	if a.Writeback {
+		return writebackRRPV
+	}
+	return prefetchRRPV
+}
+
+// EpsilonCounter implements the hardware-style 1-in-N event selector used
+// for BRRIP's bimodal throttle and ADAPT's probabilistic insertions: a small
+// counter that wraps every N events, firing once per period. This is how the
+// proposals implement "1/16th" and "1/32nd" insertions — with counters, not
+// random numbers — and modelling it the same way keeps runs deterministic.
+type EpsilonCounter struct {
+	period uint32
+	count  uint32
+}
+
+// NewEpsilonCounter returns a counter firing once every period events.
+func NewEpsilonCounter(period uint32) EpsilonCounter {
+	if period == 0 {
+		panic("policy: EpsilonCounter period must be positive")
+	}
+	return EpsilonCounter{period: period}
+}
+
+// Fire advances the counter and reports true once every period calls
+// (on the first call of each period, so behaviour is defined from the start).
+func (c *EpsilonCounter) Fire() bool {
+	hit := c.count == 0
+	c.count++
+	if c.count == c.period {
+		c.count = 0
+	}
+	return hit
+}
 
 // Options carries construction parameters shared by the policy factories.
 // The zero value selects the paper's defaults.

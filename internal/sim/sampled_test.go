@@ -2,7 +2,12 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/policy"
+	"repro/internal/trace"
 )
 
 // sampledConfig is the canonical sampled-fidelity machine of the sampled
@@ -231,5 +236,57 @@ func TestSampleAxisInConfigFingerprint(t *testing.T) {
 	other.Sample.DetailInstr = 4_096
 	if other.Fingerprint() == sampled.Fingerprint() {
 		t.Error("changing window geometry did not change the Config fingerprint")
+	}
+}
+
+// TestFunctionalWalkMirrorsAccess fences the functional-warming walk:
+// corePath.funcAccess is documented to mirror access's exact cache-mutation
+// order, so one op stream fed through each on two fresh 1-core machines
+// must leave identical L1, L2 and LLC lines, statistics and (where the
+// policy keeps them) RRPVs, for every registered LLC policy.
+func TestFunctionalWalkMirrorsAccess(t *testing.T) {
+	const ops = 100_000
+	for _, name := range policy.Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			cfg := goldenConfig(1, name)
+			timed := NewFromNames(cfg, []string{"mcf"})
+			fn := NewFromNames(cfg, []string{"mcf"})
+			var op trace.Op
+			now := uint64(0)
+			for i := 0; i < ops; i++ {
+				timed.gens[0].Next(&op)
+				now = timed.paths[0].access(now+uint64(op.Gap), op.Addr, op.Write, op.PC, true)
+				fn.paths[0].funcAccess(op.Addr, op.Write, op.PC, true)
+			}
+			sameCacheState(t, timed.paths[0].l1, fn.paths[0].l1)
+			sameCacheState(t, timed.paths[0].l2, fn.paths[0].l2)
+			sameCacheState(t, timed.LLC(), fn.LLC())
+		})
+	}
+}
+
+// sameCacheState fails unless a and b hold the same lines, the same
+// statistics and, when their policies expose them, the same RRPVs.
+func sameCacheState(t *testing.T, a, b *cache.Cache) {
+	t.Helper()
+	type rrpvs interface{ RRPVAt(set, way int) uint8 }
+	ra, hasRRPV := a.Policy().(rrpvs)
+	rb, _ := b.Policy().(rrpvs)
+	g := a.Config().Geometry
+	for set := 0; set < g.Sets; set++ {
+		for way := 0; way < g.Ways; way++ {
+			if la, lb := a.LineAt(set, way), b.LineAt(set, way); la != lb {
+				t.Fatalf("%s: set %d way %d: timed %+v, functional %+v", a.Config().Name, set, way, la, lb)
+			}
+			if hasRRPV && ra.RRPVAt(set, way) != rb.RRPVAt(set, way) {
+				t.Fatalf("%s: set %d way %d: timed RRPV %d, functional %d",
+					a.Config().Name, set, way, ra.RRPVAt(set, way), rb.RRPVAt(set, way))
+			}
+		}
+	}
+	if !reflect.DeepEqual(*a.Stats(), *b.Stats()) {
+		t.Fatalf("%s: statistics differ:\ntimed:      %+v\nfunctional: %+v", a.Config().Name, *a.Stats(), *b.Stats())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/policy"
 	"repro/internal/trace"
 )
 
@@ -138,7 +139,7 @@ func TestSharedCacheInterferenceHurts(t *testing.T) {
 
 func TestRunWithAllPolicies(t *testing.T) {
 	names := []string{"gcc", "libq"}
-	for _, pol := range []string{"lru", "srrip", "brrip", "drrip", "tadrrip", "tadrrip-bp", "ship", "ship-bp", "eaf", "eaf-bp", "adapt", "adapt-ins"} {
+	for _, pol := range policy.Names() {
 		cfg := quickConfig(2)
 		cfg.LLCPolicy = pol
 		res := NewFromNames(cfg, names).Run(5_000, 30_000)
