@@ -28,15 +28,18 @@ test-race-sched:
 # sim.Config.Validate and schedule.Job.Validate against a tiny Run (every
 # config or job they accept must build and run without panicking), the
 # segment store against arbitrary file contents (never an open error or a
-# panic, every bad line counted, maintenance keeps what it served), and the
+# panic, every bad line counted, maintenance keeps what it served), the
 # cache's fast policy dispatch against its reference path on random
-# geometries (every policy must make identical decisions either way).
+# geometries (every policy must make identical decisions either way), and
+# timeline.Place against its brute-force earliest-gap reference on random
+# out-of-order request sequences, pruning included.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchInvariance$$' -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzConfigValidate$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzJobValidate$$' -fuzztime 5s ./internal/schedule
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentStore$$' -fuzztime 5s ./internal/schedule
 	$(GO) test -run '^$$' -fuzz '^FuzzDispatch$$' -fuzztime 5s ./internal/policy
+	$(GO) test -run '^$$' -fuzz '^FuzzPlace$$' -fuzztime 5s ./internal/timeline
 
 vet:
 	$(GO) vet ./...

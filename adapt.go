@@ -125,7 +125,11 @@ func StudyByCores(cores int) (Study, error) { return workload.StudyByCores(cores
 func MixesFor(s Study, seed uint64) []Mix { return workload.Mixes(s, seed) }
 
 // NewSystem builds a machine running the named benchmarks, one per core.
+// A config that Config.Validate rejects is an error, not a panic.
 func NewSystem(cfg Config, names []string) (*System, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if len(names) != cfg.Cores {
 		return nil, fmt.Errorf("adapt: %d benchmarks for %d cores", len(names), cfg.Cores)
 	}
@@ -139,8 +143,12 @@ func NewSystem(cfg Config, names []string) (*System, error) {
 
 // RunMix runs a multi-programmed workload: warmup instructions per
 // application discarded, then a measured window of measure instructions per
-// application. One benchmark name per core.
+// application. One benchmark name per core. A sampling layout that does not
+// fit the measured budget is an error.
 func RunMix(cfg Config, names []string, warmup, measure uint64) (Result, error) {
+	if err := cfg.Sample.FitBudget(measure); err != nil {
+		return Result{}, err
+	}
 	s, err := NewSystem(cfg, names)
 	if err != nil {
 		return Result{}, err

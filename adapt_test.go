@@ -58,6 +58,33 @@ func TestRunMixValidation(t *testing.T) {
 	}
 }
 
+// TestRunMixRejectsInvalidConfig: a config the simulator cannot build is an
+// error, like an unknown benchmark, not a panic.
+func TestRunMixRejectsInvalidConfig(t *testing.T) {
+	cfg := adapt.QuickConfig(2)
+	cfg.LLCSets = 100 // not a power of two
+	if _, err := adapt.RunMix(cfg, []string{"calc", "libq"}, 0, 1000); err == nil {
+		t.Fatal("non-power-of-two LLC set count accepted")
+	}
+	cfg = adapt.QuickConfig(2)
+	cfg.Sample.Windows = 100
+	if _, err := adapt.RunMix(cfg, []string{"calc", "libq"}, 0, 10); err == nil {
+		t.Fatal("more sampling windows than measured instructions accepted")
+	}
+}
+
+// TestRunSoloOnWideConfig: RunSolo forces one core, so a config built for
+// a wider machine runs solo as it is.
+func TestRunSoloOnWideConfig(t *testing.T) {
+	solo, err := adapt.RunSolo(adapt.QuickConfig(4), "calc", 10_000, 50_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solo.IPC <= 0 {
+		t.Fatalf("solo IPC = %v", solo.IPC)
+	}
+}
+
 func TestRunSoloAndMixEndToEnd(t *testing.T) {
 	cfg := adapt.ScaleConfig(adapt.DefaultConfig(1), 64)
 	solo, err := adapt.RunSolo(cfg, "calc", 10_000, 50_000)

@@ -4,9 +4,14 @@
 //
 // Usage:
 //
-//	adaptsim -apps mcf,libq,calc,lbm [-policy adapt] [-scale 8] ...
+//	adaptsim -apps mcf,libq,calc,lbm [-policy adapt] [-scale 64] ...
 //	adaptsim -cores 16 -mix 0 [-policy adapt]       # Table 6 workload #0
 //	adaptsim -list                                  # available benchmarks/policies
+//
+// The cache scale, budgets and seed default to experiments.Quick(), the
+// fidelity paperfig runs at. With a larger cache (smaller -scale) the same
+// budgets give ADAPT too few accesses per LLC set to close its monitoring
+// intervals, and it inserts almost like SRRIP.
 package main
 
 import (
@@ -17,18 +22,20 @@ import (
 	"text/tabwriter"
 
 	adapt "repro"
+	"repro/internal/experiments"
 )
 
 func main() {
+	q := experiments.Quick()
 	var (
 		apps    = flag.String("apps", "", "comma-separated benchmark names, one per core")
 		cores   = flag.Int("cores", 16, "core count when using -mix")
 		mixIdx  = flag.Int("mix", -1, "run the i-th Table 6 workload of the -cores study")
 		policy  = flag.String("policy", "adapt", "LLC replacement policy")
-		scale   = flag.Int("scale", 8, "cache scale divisor (1 = the paper's 16MB LLC)")
-		warmup  = flag.Uint64("warmup", 200_000, "warm-up instructions per app")
-		measure = flag.Uint64("measure", 800_000, "measured instructions per app")
-		seed    = flag.Uint64("seed", 42, "seed")
+		scale   = flag.Int("scale", q.Scale, "cache scale divisor (1 = the paper's 16MB LLC)")
+		warmup  = flag.Uint64("warmup", q.WarmupInstr, "warm-up instructions per app")
+		measure = flag.Uint64("measure", q.MeasureInstr, "measured instructions per app")
+		seed    = flag.Uint64("seed", q.Seed, "seed")
 		list    = flag.Bool("list", false, "list benchmarks and policies, then exit")
 	)
 	flag.Parse()

@@ -6,10 +6,12 @@
 //
 // Usage: classify [-tiny] [-scale N] [-measure N] [-seed N]
 //
-// -tiny selects the CI smoke fidelity (the test-scale cache and
-// instruction budget of paperfig -tiny); explicit -scale/-measure still
-// override it. -cpuprofile/-memprofile write pprof profiles of the run,
-// with the same semantics as go test's flags.
+// The defaults are experiments.Quick()'s cache scale (64), budgets and
+// seed, so a bare run prints the same table as paperfig -table 4. -tiny
+// selects the CI smoke fidelity (the cache and instruction budgets of
+// paperfig -tiny); explicit -scale/-measure/-seed still override it.
+// -cpuprofile/-memprofile write pprof profiles of the run, with the same
+// semantics as go test's flags.
 package main
 
 import (
@@ -23,35 +25,32 @@ import (
 )
 
 func main() {
+	q := experiments.Quick()
 	var (
 		tiny       = flag.Bool("tiny", false, "test-scale fidelity smoke (CI): tiny caches, reduced instruction budget")
-		scale      = flag.Int("scale", 8, "cache scale divisor (1 = the paper's 16MB LLC)")
-		measure    = flag.Uint64("measure", 1_000_000, "base measured instructions per benchmark")
-		seed       = flag.Uint64("seed", 42, "seed")
+		scale      = flag.Int("scale", q.Scale, "cache scale divisor (1 = the paper's 16MB LLC)")
+		measure    = flag.Uint64("measure", q.MeasureInstr, "base measured instructions per benchmark")
+		seed       = flag.Uint64("seed", q.Seed, "seed")
 		par        = flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file")
 	)
 	flag.Parse()
-	opt := experiments.Options{
-		Scale:        *scale,
-		MeasureInstr: *measure,
-		Seed:         *seed,
-	}
+	opt := q
 	if *tiny {
-		preset := experiments.Tiny()
-		opt.Scale = preset.Scale
-		opt.MeasureInstr = preset.MeasureInstr
-		// Explicitly-passed fidelity flags still win over the preset.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "scale":
-				opt.Scale = *scale
-			case "measure":
-				opt.MeasureInstr = *measure
-			}
-		})
+		opt = experiments.Tiny()
 	}
+	// Explicitly-passed fidelity flags win over the preset.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "scale":
+			opt.Scale = *scale
+		case "measure":
+			opt.MeasureInstr = *measure
+		case "seed":
+			opt.Seed = *seed
+		}
+	})
 
 	if *par > 0 {
 		schedule.Shared().SetPoolSize(*par)

@@ -31,8 +31,8 @@ import (
 // (>= 2^(WaitBuckets-2)). Power-of-two edges keep the histogram fixed-size
 // and config-independent, which is what lets AppResult carry it as a value
 // and the fingerprint/golden machinery pin it bit-for-bit; the tail is what
-// LFOC+-style fairness accounting compares, and means are recoverable from
-// the existing WaitCycles counters.
+// separates calm from bursty traffic, and means are recoverable from the
+// existing WaitCycles counters.
 const WaitBuckets = 16
 
 // WaitHist is one requester's wait distribution over the fixed buckets.
@@ -71,25 +71,22 @@ func BucketLabel(k int) string {
 	}
 }
 
-// Config describes the arbiter and bank organisation.
+// Config describes the arbiter and bank organisation. The requesters are
+// the machine's cores; New takes their count.
 type Config struct {
 	Banks         int    // LLC banks (4 in Table 3)
-	Cores         int    // requesters
 	ServiceCycles uint64 // bank occupancy per request (pipelined lookup issue rate)
 }
 
-// Default returns the paper's configuration for a given core count.
-func Default(cores int) Config {
-	return Config{Banks: 4, Cores: cores, ServiceCycles: 4}
+// Default returns the paper's configuration.
+func Default() Config {
+	return Config{Banks: 4, ServiceCycles: 4}
 }
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	if c.Banks <= 0 || c.Banks&(c.Banks-1) != 0 {
 		return fmt.Errorf("arbiter: banks must be a positive power of two, got %d", c.Banks)
-	}
-	if c.Cores <= 0 {
-		return fmt.Errorf("arbiter: cores must be positive, got %d", c.Cores)
 	}
 	if c.ServiceCycles == 0 {
 		return fmt.Errorf("arbiter: service cycles must be positive")
@@ -107,17 +104,21 @@ type VPC struct {
 	waitHist   []WaitHist
 }
 
-// New builds an arbiter, panicking on invalid configuration.
-func New(cfg Config) *VPC {
+// New builds an arbiter serving cores requesters, panicking on invalid
+// configuration.
+func New(cfg Config, cores int) *VPC {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
+	}
+	if cores <= 0 {
+		panic(fmt.Sprintf("arbiter: cores must be positive, got %d", cores))
 	}
 	return &VPC{
 		cfg:        cfg,
 		banks:      make([]timeline.Timeline, cfg.Banks),
-		requests:   make([]uint64, cfg.Cores),
-		waitCycles: make([]uint64, cfg.Cores),
-		waitHist:   make([]WaitHist, cfg.Cores),
+		requests:   make([]uint64, cores),
+		waitCycles: make([]uint64, cores),
+		waitHist:   make([]WaitHist, cores),
 	}
 }
 

@@ -3,26 +3,31 @@ package arbiter
 import "testing"
 
 func TestDefaultValid(t *testing.T) {
-	if err := Default(16).Validate(); err != nil {
+	if err := Default().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
 }
 
 func TestValidateRejectsBad(t *testing.T) {
 	bad := []Config{
-		{Banks: 3, Cores: 4, ServiceCycles: 4},
-		{Banks: 4, Cores: 0, ServiceCycles: 4},
-		{Banks: 4, Cores: 4, ServiceCycles: 0},
+		{Banks: 3, ServiceCycles: 4},
+		{Banks: 4, ServiceCycles: 0},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d accepted: %+v", i, c)
 		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("New accepted an arbiter with no requesters")
+		}
+	}()
+	New(Default(), 0)
 }
 
 func TestBankOfUsesLowSetBits(t *testing.T) {
-	v := New(Default(2))
+	v := New(Default(), 2)
 	for set := 0; set < 64; set++ {
 		if got, want := v.BankOf(set), set%4; got != want {
 			t.Fatalf("BankOf(%d) = %d, want %d", set, got, want)
@@ -31,14 +36,14 @@ func TestBankOfUsesLowSetBits(t *testing.T) {
 }
 
 func TestFreeBasicSchedulesImmediately(t *testing.T) {
-	v := New(Default(2))
+	v := New(Default(), 2)
 	if start := v.Schedule(0, 0, 100); start != 100 {
 		t.Fatalf("free bank delayed start to %d", start)
 	}
 }
 
 func TestBusyBankQueues(t *testing.T) {
-	v := New(Default(2))
+	v := New(Default(), 2)
 	v.Schedule(0, 2, 10) // busy until 14
 	start := v.Schedule(1, 2, 11)
 	if start != 14 {
@@ -53,7 +58,7 @@ func TestBusyBankQueues(t *testing.T) {
 }
 
 func TestIndependentBanksNoQueue(t *testing.T) {
-	v := New(Default(2))
+	v := New(Default(), 2)
 	v.Schedule(0, 0, 0)
 	if start := v.Schedule(1, 1, 0); start != 0 {
 		t.Fatalf("different bank queued: start = %d", start)
@@ -61,7 +66,7 @@ func TestIndependentBanksNoQueue(t *testing.T) {
 }
 
 func TestBackToBackPipelining(t *testing.T) {
-	v := New(Default(1))
+	v := New(Default(), 1)
 	now := uint64(0)
 	for i := 0; i < 10; i++ {
 		start := v.Schedule(0, 0, now)
@@ -76,7 +81,7 @@ func TestBackToBackPipelining(t *testing.T) {
 // presented after a later-timestamped one must not wait behind bank time
 // reserved for the future.
 func TestOutOfOrderArrivalNotChargedForFutureReservations(t *testing.T) {
-	v := New(Default(2))
+	v := New(Default(), 2)
 	if start := v.Schedule(0, 1, 100); start != 100 {
 		t.Fatalf("future request start = %d, want 100", start)
 	}
@@ -96,8 +101,8 @@ func TestOutOfOrderArrivalNotChargedForFutureReservations(t *testing.T) {
 // ServiceCycles-aligned with no overlap, and the per-core totals are the sum
 // of the individual waits — nothing counted twice.
 func TestWaitAccountingNeverDoubleCounts(t *testing.T) {
-	cfg := Default(2)
-	v := New(cfg)
+	cfg := Default()
+	v := New(cfg, 2)
 	arrivals := []struct {
 		core int
 		now  uint64
@@ -153,7 +158,7 @@ func TestWaitBucketEdges(t *testing.T) {
 // counts, bucket 0 counts exactly the zero-wait grants, and the bucketed
 // mass reproduces each observed wait.
 func TestWaitHistMatchesWaitAccounting(t *testing.T) {
-	v := New(Default(2))
+	v := New(Default(), 2)
 	var want [2]WaitHist
 	arrivals := []struct {
 		core int
@@ -181,7 +186,7 @@ func TestWaitHistMatchesWaitAccounting(t *testing.T) {
 }
 
 func TestMeanWaitAndReset(t *testing.T) {
-	v := New(Default(2))
+	v := New(Default(), 2)
 	v.Schedule(0, 0, 0)
 	v.Schedule(1, 0, 0) // waits 4
 	v.Schedule(1, 0, 0) // waits 8

@@ -17,13 +17,13 @@
 //
 // The classifier consumes only counters that are updated at the shared
 // substrate's globally-ordered LLC lookups (see internal/sim): per-app
-// LLC demand accesses and misses, a sequential-stride detector over the
+// LLC demand accesses and misses, and a sequential-stride detector over the
 // app's own LLC-visible block stream (the LLC-side proxy for DRAM row-buffer
 // locality — near-sequential LLC misses are exactly the accesses that land
-// in an open DRAM row), and the app's arbiter queueing delays bucketed as in
-// arbiter.WaitHist. Every Observe call and every reclassification therefore
-// happens at a fixed point of the (clock, core-index) total order, which is
-// what keeps clustered runs bit-identical across batch caps. Instruction counts are deliberately NOT used online: another core's
+// in an open DRAM row). Every Observe call and every reclassification
+// therefore happens at a fixed point of the (clock, core-index) total
+// order, which is what keeps clustered runs bit-identical across batch
+// caps. Instruction counts are deliberately NOT used online: another core's
 // retired-instruction counter is private state with no defined value at a
 // substrate call, so online rates are per-access and per-epoch, never
 // per-kilo-instruction; the true MPKI-based fairness accounting happens
@@ -32,18 +32,23 @@
 // Classification runs at epoch boundaries (every Config.EpochAccesses
 // global LLC demand accesses):
 //
-//   - An app whose share of the epoch's LLC traffic is below LightShare is
-//     Light — it barely touches the LLC and loses nothing in a small
-//     partition — unless the tail of its arbiter-wait distribution (share of
-//     requests waiting >= TailWaitCycles) exceeds VictimTailShare: a scarce
-//     but latency-bound app is a contention *victim* (the LFOC+ refinement)
-//     and keeps the protected Sensitive partition.
-//   - An app whose epoch miss ratio is at least StreamMissRatio and whose
-//     sequential-stride fraction is at least StreamSeqFrac is Streaming: it
-//     pulls data through the cache without reuse, so caching it is wasted
-//     space that a small dedicated partition reclaims for everyone else.
+//   - An app whose share of the epoch's LLC traffic is below
+//     DefaultLightShare is Light: it barely touches the LLC and loses
+//     nothing in a small partition.
+//   - An app whose epoch miss ratio is at least DefaultStreamMissRatio and
+//     whose sequential-stride fraction is at least DefaultStreamSeqFrac is
+//     Streaming: it pulls data through the cache without reuse, so caching
+//     it is wasted space that a small dedicated partition reclaims for
+//     everyone else.
 //   - Everything else is Sensitive: it extracts hits from the LLC and gets
 //     the large protected partition.
+//
+// LFOC+ additionally keeps a scarce app whose arbiter waits are tail-heavy
+// in the Sensitive partition (a contention victim). That rule is not
+// modelled: with it disabled, the clustering comparison (paperfig -compare)
+// at Tiny and Quick fidelity, calm and bursty, came out byte-identical, and
+// no arbiter wait in the repository benchmark's workloads reaches the
+// DefaultTailWaitCycles tail.
 //
 // Until the first epoch boundary every app is Unknown and unrestricted
 // (full-cache mask), exactly like the warm-up behaviour of the set-dueling
@@ -62,8 +67,8 @@ import (
 // built, no masks are ever set).
 const ModeLFOC = "lfoc"
 
-// Classifier defaults; every Config field of the same name treats zero as
-// "use the default" so the zero Config is the paper-faithful configuration.
+// Classifier thresholds and way quotas. They are fixed: only Mode and
+// EpochAccesses are configurable.
 const (
 	// DefaultStreamingWays is the streaming cluster's way quota.
 	DefaultStreamingWays = 2
@@ -77,11 +82,11 @@ const (
 	DefaultStreamSeqFrac = 0.35
 	// DefaultLightShare is the traffic share below which an app is Light.
 	DefaultLightShare = 0.02
-	// DefaultVictimTailShare is the wait-tail share at or above which a
-	// low-traffic app is kept Sensitive instead of demoted to Light.
-	DefaultVictimTailShare = 0.50
-	// DefaultTailWaitCycles is the queueing delay from which a request
-	// counts into the wait tail.
+	// DefaultTailWaitCycles is the arbiter queueing delay from which a
+	// request counts into the wait tail, the boundary at which LFOC+ would
+	// call a scarce app a contention victim. The classifier does not read
+	// it; perfbench reports the share of arbiter waits at or above it
+	// (arbiter.tail_frac), which is how the rule's absence stays visible.
 	DefaultTailWaitCycles = 64
 	// DefaultEpochBlocksFactor sizes the default epoch: EpochAccesses =
 	// factor x LLC blocks, so epochs scale with the cache exactly like the
@@ -128,25 +133,14 @@ func (c Class) String() string {
 // Config parameterises the clustering manager. It is embedded in sim.Config
 // and participates in the config fingerprint: two runs differing in any
 // field here are different simulations. The zero value (Mode == "")
-// disables clustering; Mode == ModeLFOC with all other fields zero selects
-// every default above.
+// disables clustering; Mode == ModeLFOC with EpochAccesses zero selects the
+// default epoch.
 type Config struct {
 	// Mode selects the clustering policy: "" = off, ModeLFOC = on.
 	Mode string
 	// EpochAccesses is the number of global LLC demand accesses between
 	// reclassifications (0 = DefaultEpochBlocksFactor x LLC blocks).
 	EpochAccesses uint64
-	// StreamingWays / LightWays are the cluster way quotas (0 = defaults).
-	StreamingWays int
-	LightWays     int
-	// StreamMissRatio / StreamSeqFrac / LightShare / VictimTailShare are
-	// the classifier thresholds (0 = defaults above).
-	StreamMissRatio float64
-	StreamSeqFrac   float64
-	LightShare      float64
-	VictimTailShare float64
-	// TailWaitCycles is the wait-tail boundary in cycles (0 = default).
-	TailWaitCycles uint64
 }
 
 // Enabled reports whether clustering is switched on.
@@ -164,57 +158,11 @@ func (c Config) Validate(llcWays int) error {
 	if llcWays > 64 {
 		return fmt.Errorf("cluster: way masks support at most 64 ways, LLC has %d", llcWays)
 	}
-	r := c.resolve(0)
-	if r.StreamingWays < 1 || r.LightWays < 1 {
-		return fmt.Errorf("cluster: way quotas must be positive (streaming %d, light %d)",
-			r.StreamingWays, r.LightWays)
-	}
-	if r.StreamingWays+r.LightWays >= llcWays {
+	if DefaultStreamingWays+DefaultLightWays >= llcWays {
 		return fmt.Errorf("cluster: streaming (%d) + light (%d) quotas leave no sensitive ways on a %d-way LLC",
-			r.StreamingWays, r.LightWays, llcWays)
-	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"StreamMissRatio", r.StreamMissRatio}, {"StreamSeqFrac", r.StreamSeqFrac},
-		{"LightShare", r.LightShare}, {"VictimTailShare", r.VictimTailShare},
-	} {
-		if f.v < 0 || f.v > 1 {
-			return fmt.Errorf("cluster: %s must be in [0, 1], got %g", f.name, f.v)
-		}
+			DefaultStreamingWays, DefaultLightWays, llcWays)
 	}
 	return nil
-}
-
-// resolve substitutes defaults for zero fields. blocks is the LLC block
-// count (sets x ways) that sizes the default epoch.
-func (c Config) resolve(blocks int) Config {
-	if c.EpochAccesses == 0 {
-		c.EpochAccesses = DefaultEpochBlocksFactor * uint64(blocks)
-	}
-	if c.StreamingWays == 0 {
-		c.StreamingWays = DefaultStreamingWays
-	}
-	if c.LightWays == 0 {
-		c.LightWays = DefaultLightWays
-	}
-	if c.StreamMissRatio == 0 {
-		c.StreamMissRatio = DefaultStreamMissRatio
-	}
-	if c.StreamSeqFrac == 0 {
-		c.StreamSeqFrac = DefaultStreamSeqFrac
-	}
-	if c.LightShare == 0 {
-		c.LightShare = DefaultLightShare
-	}
-	if c.VictimTailShare == 0 {
-		c.VictimTailShare = DefaultVictimTailShare
-	}
-	if c.TailWaitCycles == 0 {
-		c.TailWaitCycles = DefaultTailWaitCycles
-	}
-	return c
 }
 
 // profile is one application's epoch counters. Everything here is written
@@ -225,7 +173,6 @@ type profile struct {
 	accesses uint64 // LLC demand accesses this epoch
 	misses   uint64 // LLC demand misses this epoch
 	seq      uint64 // accesses at a forward stride <= seqStrideMax
-	tail     uint64 // accesses that waited >= TailWaitCycles at the arbiter
 	last     uint64 // previous block address (stride detector state)
 	hasLast  bool
 }
@@ -234,7 +181,7 @@ type profile struct {
 // driven exclusively from the substrate's globally-ordered LLC lookups (one
 // Observe per LLC demand access) and is not safe for concurrent use.
 type Manager struct {
-	cfg   Config
+	epoch uint64 // demand accesses per epoch
 	cores int
 	ways  int
 	full  uint64 // mask with every way set
@@ -256,9 +203,12 @@ func New(cfg Config, g cache.Geometry, apply func(core int, mask uint64)) *Manag
 	if err := cfg.Validate(g.Ways); err != nil {
 		panic(err)
 	}
-	r := cfg.resolve(g.Blocks())
+	epoch := cfg.EpochAccesses
+	if epoch == 0 {
+		epoch = DefaultEpochBlocksFactor * uint64(g.Blocks())
+	}
 	return &Manager{
-		cfg:     r,
+		epoch:   epoch,
 		cores:   g.Cores,
 		ways:    g.Ways,
 		full:    (uint64(1) << g.Ways) - 1,
@@ -269,12 +219,11 @@ func New(cfg Config, g cache.Geometry, apply func(core int, mask uint64)) *Manag
 	}
 }
 
-// Observe records one LLC demand access: core's reference to block, whether
-// it missed, and its queueing delay at the VPC arbiter. Crossing the epoch
-// boundary reclassifies every app and re-applies the way masks before
-// returning, so the fill for the *next* access already sees the new
-// partitions.
-func (m *Manager) Observe(core int, block uint64, miss bool, wait uint64) {
+// Observe records one LLC demand access: core's reference to block and
+// whether it missed. Crossing the epoch boundary reclassifies every app and
+// re-applies the way masks before returning, so the fill for the *next*
+// access already sees the new partitions.
+func (m *Manager) Observe(core int, block uint64, miss bool) {
 	p := &m.prof[core]
 	p.accesses++
 	if miss {
@@ -286,11 +235,8 @@ func (m *Manager) Observe(core int, block uint64, miss bool, wait uint64) {
 		}
 	}
 	p.last, p.hasLast = block, true
-	if wait >= m.cfg.TailWaitCycles {
-		p.tail++
-	}
 	m.seen++
-	if m.seen >= m.cfg.EpochAccesses {
+	if m.seen >= m.epoch {
 		m.reclassify()
 		m.seen = 0
 	}
@@ -304,8 +250,8 @@ func (m *Manager) reclassify() {
 	total := m.seen
 	for i := range m.prof {
 		p := &m.prof[i]
-		m.classes[i] = classify(p, total, m.cfg)
-		p.accesses, p.misses, p.seq, p.tail = 0, 0, 0, 0
+		m.classes[i] = classify(p, total)
+		p.accesses, p.misses, p.seq = 0, 0, 0
 	}
 	m.assignMasks()
 	if m.apply != nil {
@@ -316,20 +262,16 @@ func (m *Manager) reclassify() {
 }
 
 // classify is the per-app decision rule documented in the package comment.
-func classify(p *profile, total uint64, cfg Config) Class {
+func classify(p *profile, total uint64) Class {
 	if p.accesses == 0 {
 		return Light
 	}
-	share := float64(p.accesses) / float64(total)
-	if share < cfg.LightShare {
-		if float64(p.tail)/float64(p.accesses) >= cfg.VictimTailShare {
-			return Sensitive // LFOC+ victim protection
-		}
+	if float64(p.accesses)/float64(total) < DefaultLightShare {
 		return Light
 	}
 	missRatio := float64(p.misses) / float64(p.accesses)
 	seqFrac := float64(p.seq) / float64(p.accesses)
-	if missRatio >= cfg.StreamMissRatio && seqFrac >= cfg.StreamSeqFrac {
+	if missRatio >= DefaultStreamMissRatio && seqFrac >= DefaultStreamSeqFrac {
 		return Streaming
 	}
 	return Sensitive
@@ -356,10 +298,10 @@ func (m *Manager) assignMasks() {
 	}
 	sw, lw := 0, 0
 	if nStream > 0 {
-		sw = m.cfg.StreamingWays
+		sw = DefaultStreamingWays
 	}
 	if nLight > 0 {
-		lw = m.cfg.LightWays
+		lw = DefaultLightWays
 	}
 	senW := m.ways - sw - lw
 	if nSens == 0 {

@@ -18,13 +18,13 @@ func testConfig(epoch uint64) Config {
 
 // driveEpoch feeds exactly one epoch of synthetic observations, one call
 // per core in round-robin order, using gen to produce each core's traffic.
-func driveEpoch(m *Manager, cores int, epoch uint64, gen func(core int, i uint64) (block uint64, miss bool, wait uint64)) {
+func driveEpoch(m *Manager, cores int, epoch uint64, gen func(core int, i uint64) (block uint64, miss bool)) {
 	var n [16]uint64
 	for i := uint64(0); i < epoch; i++ {
 		core := int(i) % cores
-		block, miss, wait := gen(core, n[core])
+		block, miss := gen(core, n[core])
 		n[core]++
-		m.Observe(core, block, miss, wait)
+		m.Observe(core, block, miss)
 	}
 }
 
@@ -35,19 +35,19 @@ func TestValidate(t *testing.T) {
 	if err := testConfig(0).Validate(16); err != nil {
 		t.Fatalf("default LFOC config must validate on 16 ways: %v", err)
 	}
-	bad := []Config{
-		{Mode: "nonsense"},
-		{Mode: ModeLFOC, StreamingWays: 8, LightWays: 8}, // no sensitive ways left
-		{Mode: ModeLFOC, StreamMissRatio: 1.5},           // out of [0,1]
-		{Mode: ModeLFOC, StreamingWays: -1},              // negative quota
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(16); err == nil {
-			t.Errorf("bad config %d validated", i)
-		}
+	if err := (Config{Mode: "nonsense"}).Validate(16); err == nil {
+		t.Error("unknown mode validated")
 	}
 	if err := testConfig(0).Validate(128); err == nil {
 		t.Error(">64-way LLC must be rejected (mask width)")
+	}
+	// The streaming and light quotas must leave the sensitive cluster at
+	// least one way.
+	if err := testConfig(0).Validate(DefaultStreamingWays + DefaultLightWays); err == nil {
+		t.Error("an LLC the quotas fill completely must be rejected")
+	}
+	if err := testConfig(0).Validate(DefaultStreamingWays + DefaultLightWays + 1); err != nil {
+		t.Errorf("an LLC with one sensitive way must validate: %v", err)
 	}
 }
 
@@ -57,11 +57,11 @@ func TestStreamingAlwaysClassifies(t *testing.T) {
 	for _, epoch := range []uint64{64, 256, 4096} {
 		m := New(testConfig(epoch), testGeom(2), nil)
 		for round := 0; round < 4; round++ {
-			driveEpoch(m, 2, epoch, func(core int, i uint64) (uint64, bool, uint64) {
+			driveEpoch(m, 2, epoch, func(core int, i uint64) (uint64, bool) {
 				if core == 0 {
-					return i * 2, true, 0 // demand-visible stream: stride 2, all misses
+					return i * 2, true // demand-visible stream: stride 2, all misses
 				}
-				return (i * 7919) % 64, false, 0 // reuse-heavy: hits
+				return (i * 7919) % 64, false // reuse-heavy: hits
 			})
 			if got := m.Classes()[0]; got != Streaming {
 				t.Fatalf("epoch=%d round=%d: streaming app classified %v", epoch, round, got)
@@ -80,8 +80,8 @@ func TestSensitiveNeverStreams(t *testing.T) {
 
 	// Low miss ratio, perfect stride: still not streaming.
 	m := New(testConfig(epoch), testGeom(1), nil)
-	driveEpoch(m, 1, epoch, func(_ int, i uint64) (uint64, bool, uint64) {
-		return i, i%4 == 0, 0 // 25% miss ratio < StreamMissRatio
+	driveEpoch(m, 1, epoch, func(_ int, i uint64) (uint64, bool) {
+		return i, i%4 == 0 // 25% miss ratio < DefaultStreamMissRatio
 	})
 	if got := m.Classes()[0]; got != Sensitive {
 		t.Errorf("low-miss-ratio strider classified %v, want Sensitive", got)
@@ -89,41 +89,32 @@ func TestSensitiveNeverStreams(t *testing.T) {
 
 	// All misses, scattered blocks: still not streaming.
 	m = New(testConfig(epoch), testGeom(1), nil)
-	driveEpoch(m, 1, epoch, func(_ int, i uint64) (uint64, bool, uint64) {
-		return (i * 104729) % 100003, true, 0 // pseudo-random walk, stride >> seqStrideMax
+	driveEpoch(m, 1, epoch, func(_ int, i uint64) (uint64, bool) {
+		return (i * 104729) % 100003, true // pseudo-random walk, stride >> seqStrideMax
 	})
 	if got := m.Classes()[0]; got != Sensitive {
 		t.Errorf("random-walk thrasher classified %v, want Sensitive", got)
 	}
 }
 
-// TestLightAndVictimGuard: a negligible-traffic app is Light, unless its
-// arbiter-wait tail marks it a contention victim (LFOC+), in which case it
-// keeps the protected partition.
+// TestLightAndVictimGuard: a negligible-traffic app is Light even when it
+// misses every access; there is no LFOC+ victim guard (see the package
+// comment).
 func TestLightAndVictimGuard(t *testing.T) {
 	epoch := uint64(1000)
-	for _, tc := range []struct {
-		name string
-		wait uint64
-		want Class
-	}{
-		{"light", 0, Light},
-		{"victim", DefaultTailWaitCycles, Sensitive},
-	} {
-		m := New(testConfig(epoch), testGeom(2), nil)
-		var n0 uint64
-		for i := uint64(0); i < epoch; i++ {
-			// Core 1 generates ~99.5% of the traffic; core 0 is scarce.
-			if i%200 == 0 {
-				m.Observe(0, n0, true, tc.wait)
-				n0++
-				continue
-			}
-			m.Observe(1, i, true, 0)
+	m := New(testConfig(epoch), testGeom(2), nil)
+	var n0 uint64
+	for i := uint64(0); i < epoch; i++ {
+		// Core 1 generates ~99.5% of the traffic; core 0 is scarce.
+		if i%200 == 0 {
+			m.Observe(0, n0, true)
+			n0++
+			continue
 		}
-		if got := m.Classes()[0]; got != tc.want {
-			t.Errorf("%s: scarce app classified %v, want %v", tc.name, got, tc.want)
-		}
+		m.Observe(1, i, true)
+	}
+	if got := m.Classes()[0]; got != Light {
+		t.Errorf("scarce app classified %v, want %v", got, Light)
 	}
 }
 
@@ -132,7 +123,7 @@ func TestIdleAppIsLight(t *testing.T) {
 	epoch := uint64(256)
 	m := New(testConfig(epoch), testGeom(2), nil)
 	for i := uint64(0); i < epoch; i++ {
-		m.Observe(0, i, true, 0)
+		m.Observe(0, i, true)
 	}
 	if got := m.Classes()[1]; got != Light {
 		t.Errorf("idle app classified %v, want Light", got)
@@ -201,27 +192,27 @@ func TestMaskPartition(t *testing.T) {
 		applies = append(applies, applied{core, mask})
 	})
 
-	profiles := [][]func(i uint64) (uint64, bool, uint64){
+	profiles := [][]func(i uint64) (uint64, bool){
 		{ // mixed: 2 streams, 1 light, 3 sensitive
-			func(i uint64) (uint64, bool, uint64) { return i * 2, true, 0 },
-			func(i uint64) (uint64, bool, uint64) { return i * 3, true, 0 },
-			func(i uint64) (uint64, bool, uint64) { return i, i%100 == 0, 0 },
-			func(i uint64) (uint64, bool, uint64) { return i % 64, false, 0 },
-			func(i uint64) (uint64, bool, uint64) { return (i * 31) % 512, i%2 == 0, 0 },
-			func(i uint64) (uint64, bool, uint64) { return (i * 17) % 997, i%3 == 0, 0 },
+			func(i uint64) (uint64, bool) { return i * 2, true },
+			func(i uint64) (uint64, bool) { return i * 3, true },
+			func(i uint64) (uint64, bool) { return i, i%100 == 0 },
+			func(i uint64) (uint64, bool) { return i % 64, false },
+			func(i uint64) (uint64, bool) { return (i * 31) % 512, i%2 == 0 },
+			func(i uint64) (uint64, bool) { return (i * 17) % 997, i%3 == 0 },
 		},
 	}
 	// All-streaming population: the sensitive quota must flow to streaming.
-	allStream := make([]func(i uint64) (uint64, bool, uint64), cores)
+	allStream := make([]func(i uint64) (uint64, bool), cores)
 	for c := range allStream {
 		c := c
-		allStream[c] = func(i uint64) (uint64, bool, uint64) { return i*2 + uint64(c)<<32, true, 0 }
+		allStream[c] = func(i uint64) (uint64, bool) { return i*2 + uint64(c)<<32, true }
 	}
 	profiles = append(profiles, allStream)
 
 	for pi, prof := range profiles {
 		applies = applies[:0]
-		driveEpoch(m, cores, epoch, func(core int, i uint64) (uint64, bool, uint64) {
+		driveEpoch(m, cores, epoch, func(core int, i uint64) (uint64, bool) {
 			return prof[core](i)
 		})
 		checkPartition(t, m, 16)
@@ -246,7 +237,7 @@ func TestMaskPartition(t *testing.T) {
 // with zero (unrestricted) masks and full way quota.
 func TestPreEpochUnrestricted(t *testing.T) {
 	m := New(testConfig(1000), testGeom(3), nil)
-	m.Observe(0, 1, true, 0)
+	m.Observe(0, 1, true)
 	for core := 0; core < 3; core++ {
 		if got := m.Classes()[core]; got != Unknown {
 			t.Errorf("core %d classified %v before first epoch", core, got)

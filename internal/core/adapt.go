@@ -29,9 +29,9 @@ type Config struct {
 	// "sizing of this interval is critical" discussion warns. See
 	// ARCHITECTURE.md, "Modelling substitutions", for the full argument.
 	GlobalInterval bool
-	// MonitoredSets and ArrayEntries size the Sampler (40 and 16 if zero).
+	// MonitoredSets is the Sampler's monitored-set count (40 if zero). Its
+	// arrays have DefaultArrayEntries entries.
 	MonitoredSets int
-	ArrayEntries  int
 	// Ranges are the priority-bucket boundaries (Table 1 if zero).
 	Ranges policy.Ranges
 	// Bypass selects ADAPT_bp32 (true) or ADAPT_ins (false).
@@ -50,9 +50,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MonitoredSets == 0 {
 		c.MonitoredSets = DefaultMonitoredSets
-	}
-	if c.ArrayEntries == 0 {
-		c.ArrayEntries = DefaultArrayEntries
 	}
 	if c.Ranges.IsZero() {
 		c.Ranges = policy.DefaultRanges()
@@ -94,7 +91,7 @@ func NewADAPT(cfg Config) *ADAPT {
 			Sets:          g.Sets,
 			Cores:         g.Cores,
 			MonitoredSets: cfg.MonitoredSets,
-			ArrayEntries:  cfg.ArrayEntries,
+			ArrayEntries:  DefaultArrayEntries,
 			Seed:          cfg.Seed,
 		}),
 		buckets:      make([]Bucket, g.Cores),
@@ -283,7 +280,6 @@ func configFromOptions(g cache.Geometry, opt policy.Options, bypass, global bool
 		IntervalMisses: opt.AdaptIntervalMisses,
 		GlobalInterval: global,
 		MonitoredSets:  opt.AdaptMonitoredSets,
-		ArrayEntries:   opt.AdaptArrayEntries,
 		Ranges:         opt.AdaptRanges,
 		Bypass:         bypass,
 		Seed:           opt.Seed,

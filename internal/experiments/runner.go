@@ -198,21 +198,13 @@ func NewRunnerWith(opt Options, s *schedule.Scheduler) *Runner {
 // Scheduler exposes the runner's scheduler (for stats and cache control).
 func (r *Runner) Scheduler() *schedule.Scheduler { return r.sched }
 
-// soloConfig is the 1-core machine used for solo baselines. It depends only
-// on the options (not the study's core count), so solo runs deduplicate
-// across studies of different widths.
-func (o Options) soloConfig() sim.Config {
-	cfg := o.baseConfig(1)
-	cfg.Arb = sim.DefaultConfig(1).Arb
-	return cfg
-}
-
-// AloneIPC returns a benchmark's solo IPC on the options' machine with the
-// baseline policy. Memoization lives in the scheduler: every repeat — in
-// this harness or any other sharing the scheduler — is a cache hit.
+// AloneIPC returns a benchmark's solo IPC on the options' 1-core machine
+// with the baseline policy. Memoization lives in the scheduler: every
+// repeat — in this harness or any other sharing the scheduler, whatever
+// the study's core count — is a cache hit.
 func (r *Runner) AloneIPC(name string) float64 {
 	res := r.sched.Run(schedule.Job{
-		Config:  r.Opt.soloConfig(),
+		Config:  r.Opt.baseConfig(1),
 		Names:   []string{name},
 		Warmup:  r.Opt.WarmupInstr,
 		Measure: r.Opt.MeasureInstr,

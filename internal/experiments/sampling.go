@@ -136,8 +136,8 @@ func (s SamplingResult) Table() Table {
 	t := Table{
 		Title: "Sampling validation — sampled vs detailed per-app IPC (4-core)",
 		Note: fmt.Sprintf(
-			"windows=%d detail=%d warm=%d quantum=%d (0 = budget-derived); mean |IPC err| %.2f%%, worst %.2f%%, mean CV %.3f",
-			s.Sample.Windows, s.Sample.DetailInstr, s.Sample.WarmInstr, s.Sample.QuantumCycles,
+			"windows=%d detail=%d warm=%d (0 = budget-derived) quantum=%d cycles; mean |IPC err| %.2f%%, worst %.2f%%, mean CV %.3f",
+			s.Sample.Windows, s.Sample.DetailInstr, s.Sample.WarmInstr, sim.DefaultSampleQuantum,
 			s.MeanErrPct, s.WorstErrPct, s.MeanCV),
 		Header: []string{"mix", "app", "detailed IPC", "sampled IPC", "±95% CI", "CV", "|err|%", "LLC MPKI err%"},
 	}

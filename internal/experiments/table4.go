@@ -71,7 +71,7 @@ func soloBudget(opt Options, spec bench.Spec, llcSets int) uint64 {
 }
 
 func measureOne(opt Options, sched *schedule.Scheduler, spec bench.Spec) Table4Row {
-	cfg := opt.soloConfig()
+	cfg := opt.baseConfig(1)
 
 	all := core.NewSampler(core.SamplerConfig{
 		Sets: cfg.LLCSets, Cores: 1, MonitoredSets: cfg.LLCSets,

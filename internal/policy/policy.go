@@ -117,11 +117,11 @@ type Options struct {
 	BypassDistant bool
 
 	// ADAPT-specific knobs, interpreted by internal/core. Zero values mean
-	// the paper's defaults (40 monitored sets, 16-entry arrays, interval of
-	// 4x the LLC block count, Table 1 priority ranges).
+	// the paper's defaults (40 monitored sets, interval of 4x the LLC block
+	// count, Table 1 priority ranges). The monitor's arrays always have
+	// the paper's 16 entries.
 	AdaptIntervalMisses uint64
 	AdaptMonitoredSets  int
-	AdaptArrayEntries   int
 	AdaptRanges         Ranges
 }
 

@@ -81,7 +81,15 @@ import (
 // unclustered configs, and the golden corpus was re-pinned in the same
 // commit (field names participate in the result digest), so v4 disk-cache
 // segments must strand.
-const KeySchema = "job/v5+" + sim.FingerprintSchema
+//
+// v6: the config loses the fields that no caller ever set to anything but
+// their default (the LFOC+ victim-rule knobs and the fixed cluster
+// thresholds and quotas, the arbiter's core count, ADAPT's array size, the
+// sampling quantum). Results are unchanged — the golden corpus is
+// identical to v5 — but every config fingerprint, and so every job key,
+// moved; the bump lets store maintenance evict the orphaned v5 segments
+// wholesale instead of carrying them as dead entries.
+const KeySchema = "job/v6+" + sim.FingerprintSchema
 
 // DefaultMemBudget is the default byte budget of the in-memory result
 // tier. Results are small (a few hundred bytes per app), so this admits

@@ -250,7 +250,6 @@ func TestBadRequests(t *testing.T) {
 func TestJobRejectsUnbuildableConfig(t *testing.T) {
 	_, hs := newTestServer(t, schedule.New(1))
 	for name, mutate := range map[string]func(*schedule.Job){
-		"arbiter-cores":      func(j *schedule.Job) { j.Config.Arb.Cores = 1 },
 		"block-bytes-0":      func(j *schedule.Job) { j.Config.BlockBytes = 0 },
 		"block-bytes-48":     func(j *schedule.Job) { j.Config.BlockBytes = 48 },
 		"l1-sets-3":          func(j *schedule.Job) { j.Config.L1Sets = 3 },

@@ -109,7 +109,7 @@ func DefaultConfig(cores int) Config {
 		CPUWidth: 4, CPUROB: 128, CPUMaxOutstanding: 8,
 
 		Mem: mem.Default(),
-		Arb: arbiter.Default(cores),
+		Arb: arbiter.Default(),
 
 		NextLinePrefetch: true,
 		Seed:             1,
@@ -205,9 +205,6 @@ func (c Config) Validate() error {
 		} else if _, ok := p.(cache.WayMasker); !ok {
 			return fmt.Errorf("sim: LLC policy %q does not support the way masks clustering needs", c.LLCPolicy)
 		}
-	}
-	if c.Arb.Cores != c.Cores {
-		return fmt.Errorf("sim: arbiter serves %d cores, machine has %d", c.Arb.Cores, c.Cores)
 	}
 	return c.Arb.Validate()
 }

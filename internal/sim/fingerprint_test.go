@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/cluster"
+)
 
 func TestFingerprintDeterministic(t *testing.T) {
 	a := DefaultConfig(4)
@@ -28,6 +32,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"mem-banks":    func(c *Config) { c.Mem.Banks = 16 },
 		"arb-service":  func(c *Config) { c.Arb.ServiceCycles = 8 },
 		"prefetch":     func(c *Config) { c.NextLinePrefetch = false },
+		"cluster-mode": func(c *Config) { c.Cluster.Mode = cluster.ModeLFOC },
 	}
 	ref := base.Fingerprint()
 	seen := map[string]string{"": ref}

@@ -75,33 +75,32 @@ func FuzzBatchInvariance(f *testing.F) {
 
 // FuzzConfigValidate checks Validate's contract: every Config it accepts
 // builds (NewFromNames) and runs a tiny detailed or sampled window without
-// panicking. The fuzzer perturbs the geometry, the policy names, the pool
-// sizes, the arbiter width and the optional layers of a tiny machine;
+// panicking. The fuzzer perturbs the core count, the geometry, the policy
+// names, the pool sizes and the optional layers of a tiny machine;
 // rejected configs end the case, accepted ones must run.
 //
 //	go test ./internal/sim -run '^$' -fuzz FuzzConfigValidate -fuzztime 10s
 func FuzzConfigValidate(f *testing.F) {
 	base := quickConfig(2)
-	f.Add(uint8(2), uint8(2), int16(6), int16(3), int16(3), int16(8),
+	f.Add(uint8(2), int16(6), int16(3), int16(3), int16(8),
 		uint8(base.L1Ways), uint8(base.L2Ways), uint8(base.LLCWays), base.LLCPolicy, base.L2Policy,
 		int16(base.LLCMSHRs), int16(base.LLCWBEntries), uint8(base.Mem.Banks), false, false)
-	f.Add(uint8(4), uint8(4), int16(6), int16(3), int16(3), int16(4),
+	f.Add(uint8(4), int16(6), int16(3), int16(3), int16(4),
 		uint8(8), uint8(16), uint8(16), "adapt", "drrip", int16(4), int16(2), uint8(8), true, true)
-	// Configs Validate must reject because New panics on them: an arbiter
-	// narrower than the machine, non-power-of-two block size and set
-	// counts, an unregistered policy.
-	f.Add(uint8(2), uint8(1), int16(6), int16(3), int16(3), int16(4),
+	// Configs Validate must reject because New panics on them: clustering
+	// on an LLC its way quotas fill completely, non-power-of-two block
+	// size and set counts, an unregistered policy.
+	f.Add(uint8(2), int16(6), int16(3), int16(3), int16(4),
+		uint8(8), uint8(16), uint8(3), "tadrrip", "drrip", int16(4), int16(2), uint8(8), true, false)
+	f.Add(uint8(2), int16(48), int16(-3), int16(100), int16(4),
 		uint8(8), uint8(16), uint8(16), "tadrrip", "drrip", int16(4), int16(2), uint8(8), false, false)
-	f.Add(uint8(2), uint8(2), int16(48), int16(-3), int16(100), int16(4),
-		uint8(8), uint8(16), uint8(16), "tadrrip", "drrip", int16(4), int16(2), uint8(8), false, false)
-	f.Add(uint8(2), uint8(2), int16(6), int16(3), int16(3), int16(4),
+	f.Add(uint8(2), int16(6), int16(3), int16(3), int16(4),
 		uint8(8), uint8(16), uint8(16), "no-such-policy", "drrip", int16(4), int16(2), uint8(8), false, false)
 	names := bench.Names()
-	f.Fuzz(func(t *testing.T, cores, arbCores uint8, blockBytes, l1Sets, l2Sets, llcSets int16,
+	f.Fuzz(func(t *testing.T, cores uint8, blockBytes, l1Sets, l2Sets, llcSets int16,
 		l1Ways, l2Ways, llcWays uint8, llcPolicy, l2Policy string,
 		llcMSHRs, llcWB int16, banks uint8, clustered, sampled bool) {
 		cfg := quickConfig(int(cores % 9))
-		cfg.Arb.Cores = int(arbCores % 9)
 		cfg.BlockBytes = pow2OrRaw(blockBytes)
 		cfg.L1Sets, cfg.L2Sets, cfg.LLCSets = pow2OrRaw(l1Sets), pow2OrRaw(l2Sets), pow2OrRaw(llcSets)
 		cfg.L1Ways, cfg.L2Ways, cfg.LLCWays = int(l1Ways), int(l2Ways), int(llcWays)

@@ -34,7 +34,8 @@ type AppResult struct {
 	// ArbiterWaitHist is the application's full wait *distribution* at the
 	// VPC arbiter over arbiter.WaitBuckets fixed power-of-two buckets.
 	// Means are insensitive to burstiness; the tail mass here is what
-	// LFOC+-style fairness accounting compares across calm/burst mixes.
+	// separates calm from burst mixes. It is a report: the clustering
+	// classifier does not read it.
 	ArbiterWaitHist arbiter.WaitHist
 
 	// Cluster is the app's final classification under the LFOC clustering

@@ -6,17 +6,17 @@ import (
 	"repro/internal/metrics"
 )
 
-// DefaultSampleQuantum is the functional-warming virtual-cycle quantum when
-// SampleConfig.QuantumCycles is zero. Each round-robin pass advances every
-// core by its estimated retirement rate times this many virtual cycles, so
-// the quantum sets the granularity at which the cores' access streams
-// interleave in the shared LLC during functional gaps. Small quanta track
-// the fine-grained interleaving of detailed timing (a core's reuse window
-// sees foreign insertions in realistic proportion); large quanta let each
-// core stream long private bursts, which flatters its conflict misses.
+// DefaultSampleQuantum is the functional-warming virtual-cycle quantum.
+// Each round-robin pass advances every core by its estimated retirement
+// rate times this many virtual cycles, so the quantum sets the granularity
+// at which the cores' access streams interleave in the shared LLC during
+// functional gaps. Small quanta track the fine-grained interleaving of
+// detailed timing (a core's reuse window sees foreign insertions in
+// realistic proportion); large quanta let each core stream long private
+// bursts, which flatters its conflict misses.
 // Unlike TraceBatch the quantum is *visible* in results (it changes the
-// order in which cores touch shared cache and policy state), so it
-// participates in the fingerprint and is fixed by default.
+// order in which cores touch shared cache and policy state); it is fixed,
+// so every sampled run interleaves at the same granularity.
 const DefaultSampleQuantum = 256
 
 // DefaultSampleWindows is the window count SampleConfig.Default uses: enough
@@ -54,11 +54,6 @@ type SampleConfig struct {
 	// functional gap and must re-converge under full timing before
 	// measurement). Zero derives DetailInstr/2.
 	WarmInstr uint64
-
-	// QuantumCycles is the functional round-robin quantum in virtual cycles
-	// (0 = DefaultSampleQuantum). Deterministic and fingerprinted; see
-	// DefaultSampleQuantum.
-	QuantumCycles uint64
 }
 
 // Enabled reports whether sampled fidelity is selected.
@@ -102,7 +97,6 @@ type samplePlan struct {
 	measure uint64
 	detail  uint64
 	warm    uint64
-	quantum uint64
 }
 
 // plan resolves the sampling layout for a measured budget, deriving
@@ -127,10 +121,6 @@ func (sc SampleConfig) plan(measure uint64) (samplePlan, error) {
 	if p.detail > period || p.warm > period-p.detail {
 		return p, fmt.Errorf("sim: sampled window does not fit its period: detail %d + warm %d > %d (= %d measured / %d windows)",
 			p.detail, p.warm, period, measure, sc.Windows)
-	}
-	p.quantum = sc.QuantumCycles
-	if p.quantum == 0 {
-		p.quantum = DefaultSampleQuantum
 	}
 	return p, nil
 }
@@ -211,19 +201,19 @@ func (r *sampleRates) observe(i int, di, dc uint64) {
 // runFunctionalUntil retires instructions on every core up to target
 // (cumulative per-core retired count) in functional-warming mode: a
 // virtual-time round-robin on the serial goroutine. Each pass advances a
-// shared virtual clock by quantum cycles and runs core i for
-// rates.instr[i]·quantum/rates.cycles[i] instructions (with remainder
-// carry), so cores interleave in the shared LLC in proportion to their
-// measured retirement rates — the same mix detailed timing would produce —
-// at quantum-cycle granularity.
+// shared virtual clock by DefaultSampleQuantum cycles and runs core i for
+// rates.instr[i]·DefaultSampleQuantum/rates.cycles[i] instructions (with
+// remainder carry), so cores interleave in the shared LLC in proportion to
+// their measured retirement rates — the same mix detailed timing would
+// produce — at quantum-cycle granularity.
 //
-// The schedule is a pure integer function of (target, quantum, rates), and
+// The schedule is a pure integer function of (target, rates), and
 // the rates are themselves measured from detailed spans that are already
 // bit-identical across execution knobs — no clocks, no event-loop or
 // trace-delivery batching — so every shared-state update (LLC policy
 // metadata, SHCT/PSEL counters, cluster epochs) happens in the same global
 // order regardless of batch caps and Config.TraceBatch.
-func (s *System) runFunctionalUntil(target, quantum uint64, rates *sampleRates) {
+func (s *System) runFunctionalUntil(target uint64, rates *sampleRates) {
 	for {
 		done := true
 		for i, c := range s.cores {
@@ -232,7 +222,7 @@ func (s *System) runFunctionalUntil(target, quantum uint64, rates *sampleRates) 
 				continue
 			}
 			done = false
-			num := rates.instr[i]*quantum + rates.rem[i]
+			num := rates.instr[i]*DefaultSampleQuantum + rates.rem[i]
 			run := num / rates.cycles[i]
 			rates.rem[i] = num % rates.cycles[i]
 			if run == 0 {
@@ -281,7 +271,7 @@ func (s *System) runSampled(warmup, measure uint64) Result {
 		for i := 0; i < n; i++ {
 			rates.observe(i, pilotI[i], pilotC[i])
 		}
-		s.runFunctionalUntil(warmup, p.quantum, rates)
+		s.runFunctionalUntil(warmup, rates)
 	}
 	s.resetAtWarmBoundary()
 
@@ -321,7 +311,7 @@ func (s *System) runSampled(warmup, measure uint64) Result {
 		// records each core's (clock, retired) at its warm-target crossing:
 		// that is the measured window's start point, mirroring how the
 		// fully-detailed Run freezes counters at target crossings.
-		s.runFunctionalUntil(gapTarget, p.quantum, rates)
+		s.runFunctionalUntil(gapTarget, rates)
 		s.runUntilRetired(warmTarget, startC, startI)
 		for i := 0; i < n; i++ {
 			accA[i] = llcStats.DemandAccesses[i]

@@ -91,7 +91,7 @@ func (u *sharedSubstrate) Fetch(core int, block, pc uint64, write, demand bool, 
 	// access is classified under the masks that governed its own fill; an
 	// epoch boundary inside Observe re-partitions for the *next* access.
 	if u.cluster != nil && demand {
-		u.cluster.Observe(core, block, !rl.Hit, start-at)
+		u.cluster.Observe(core, block, !rl.Hit)
 	}
 
 	if rl.Hit {
@@ -142,9 +142,9 @@ func (u *sharedSubstrate) shardOf(block uint64) *bankShard {
 // lookup (and so replacement metadata, SHCT/duel learning, bypass
 // decisions), the access hook and the cluster observation all happen in the
 // same order as in Fetch, but there is no arbiter grant and no DRAM access —
-// an LLC miss fills (or bypasses) instantly at nominal latency. Cluster waits are observed as zero: the
-// functional machine has no queueing. Callers hold the functional phase's
-// serial order (the round-robin in runFunctionalUntil).
+// an LLC miss fills (or bypasses) instantly at nominal latency. Callers
+// hold the functional phase's serial order (the round-robin in
+// runFunctionalUntil).
 func (u *sharedSubstrate) fetchFunc(core int, block, pc uint64, write, demand bool) {
 	set := u.llc.SetOf(block)
 	if demand && u.cfg.LLCAccessHook != nil {
@@ -153,7 +153,7 @@ func (u *sharedSubstrate) fetchFunc(core int, block, pc uint64, write, demand bo
 	u.scratchLLC = cache.Access{Block: block, Core: core, PC: pc, Write: write, Demand: demand}
 	rl := u.llc.Access(&u.scratchLLC)
 	if u.cluster != nil && demand {
-		u.cluster.Observe(core, block, !rl.Hit, 0)
+		u.cluster.Observe(core, block, !rl.Hit)
 	}
 	// Dirty LLC victims vanish: the functional machine tracks no DRAM row
 	// or bank state for the write to perturb.

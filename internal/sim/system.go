@@ -95,7 +95,7 @@ func New(cfg Config, gens []trace.Generator) *System {
 			HitLatency: cfg.LLCLatency,
 		}, llcPol),
 		dram:    mem.New(cfg.Mem),
-		arb:     arbiter.New(cfg.Arb),
+		arb:     arbiter.New(cfg.Arb, cfg.Cores),
 		cluster: clusterMgr,
 	}
 	s.sub.shards = newShards(&s.cfg)

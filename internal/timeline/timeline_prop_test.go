@@ -117,3 +117,49 @@ func TestPlaceInOrderDegeneratesToHighWaterMark(t *testing.T) {
 		t.Fatalf("contiguous in-order traffic left %d intervals, want 1 merged", n)
 	}
 }
+
+// FuzzPlace checks Place against the brute-force earliest-gap reference on
+// arbitrary request sequences, pruning included. Each three input bytes are
+// one request: a 12-bit arrival time and a 4-bit duration (0 reserves
+// nothing). capSel picks a history cap; small caps prune the list every few
+// requests. Pruning drops only intervals that end at or before the new
+// floor, so the reference keeps its whole history and places from the
+// arrival clamped to the floor the timeline reports before each request.
+// Probe must predict every Place.
+//
+//	go test ./internal/timeline -run '^$' -fuzz FuzzPlace -fuzztime 5s
+func FuzzPlace(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 0, 4, 0, 0, 4, 8, 0, 4, 2, 0, 3})
+	f.Add(uint8(2), []byte{40, 0, 4, 0, 0, 4, 1, 0, 4, 41, 0, 4, 2, 0, 4, 100, 0, 4, 99, 0, 4})
+	f.Add(uint8(3), []byte{0xff, 0x0f, 0x0f, 0, 0, 0xff, 1, 0, 0x10, 0xfe, 0x0f, 0x0f})
+	f.Fuzz(func(t *testing.T, capSel uint8, reqs []byte) {
+		if len(reqs) > 3*128 {
+			reqs = reqs[:3*128] // the reference is quadratic per request
+		}
+		tl := New(int(capSel % 8))
+		ref := &refTimeline{}
+		floor := tl.Floor()
+		for k := 0; k+3 <= len(reqs); k += 3 {
+			now := uint64(reqs[k]) | uint64(reqs[k+1]&0x0f)<<8
+			dur := uint64(reqs[k+2] & 0x0f)
+			if fl := tl.Floor(); fl < floor {
+				t.Fatalf("request %d: floor fell from %d to %d", k/3, floor, fl)
+			}
+			floor = tl.Floor()
+
+			probe := tl.Probe(now, dur)
+			got := tl.Place(now, dur)
+			want := ref.place(max(now, floor), dur)
+			if got != want {
+				t.Fatalf("request %d: Place(%d, %d) = %d with floor %d, reference %d",
+					k/3, now, dur, got, floor, want)
+			}
+			if probe != got {
+				t.Fatalf("request %d: Probe(%d, %d) = %d, Place = %d", k/3, now, dur, probe, got)
+			}
+			if got < now {
+				t.Fatalf("request %d: Place(%d, %d) served at %d, before arrival", k/3, now, dur, got)
+			}
+		}
+	})
+}
