@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race test-race-sched fuzz-smoke lint vet fmt-check docs-check bench bench-smoke serve-smoke allocs-gate paperfig ci clean
+.PHONY: all build test test-race test-race-sched fuzz-smoke lint vet fmt-check docs-check bench bench-smoke perfbench-check allocs-gate paperfig ci clean
 
 all: build
 
@@ -17,8 +17,8 @@ test-race:
 	$(GO) test -short -race ./...
 
 # Full (not -short) race pass over the packages with real concurrency: the
-# scheduler (singleflight, worker pool, store maintenance) and the serving
-# layer on top of it. A simulation itself runs on one goroutine.
+# scheduler (singleflight, worker pool, result store) and the /v1/tables
+# endpoint on top of it. A simulation itself runs on one goroutine.
 test-race-sched:
 	$(GO) test -race -count=1 ./internal/schedule/... ./internal/serve/...
 
@@ -28,9 +28,9 @@ test-race-sched:
 # sim.Config.Validate and schedule.Job.Validate against a tiny Run (every
 # config or job they accept must build and run without panicking), the
 # segment store against arbitrary file contents (never an open error or a
-# panic, every bad line counted, maintenance keeps what it served), the
-# cache's fast policy dispatch against its reference path on random
-# geometries (every policy must make identical decisions either way), and
+# panic, every bad line counted), the cache's fast policy dispatch against
+# its reference path on random geometries (every policy must make
+# identical decisions either way), and
 # timeline.Place against its brute-force earliest-gap reference on random
 # out-of-order request sequences, pruning included.
 fuzz-smoke:
@@ -73,10 +73,10 @@ bench-smoke: build
 	$(GO) test -bench 'SamplingFidelity$$' -benchtime 1x -run '^$$' ./internal/sim
 	sh scripts/dedup_smoke.sh
 
-# End-to-end smoke of the serving layer: paperfigd up, `paperfig -server`
-# output byte-identical to a local run, SIGTERM drains in-flight work.
-serve-smoke: build
-	sh scripts/serve_smoke.sh
+# perfbench/ is its own Go module (replace repro => ../), so `go build ./...`
+# at the root never compiles it: vet and test it against the tree's APIs.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # CI allocation gate: the measured simulation loop must be allocation-free
 # at steady state (testing.AllocsPerRun == 0, see internal/sim/alloc_test.go)

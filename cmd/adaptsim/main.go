@@ -101,7 +101,10 @@ func findStudy(cores int) (adapt.Study, bool) {
 	return adapt.Study{}, false
 }
 
+// fatal reports input adaptsim rejects — an unknown study or mix, or a
+// config or workload the simulator cannot build — and exits 2, the usage
+// error status.
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "adaptsim: "+format+"\n", args...)
-	os.Exit(1)
+	os.Exit(2)
 }

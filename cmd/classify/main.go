@@ -52,6 +52,10 @@ func main() {
 		}
 	})
 
+	if err := (experiments.Request{Table: 4, Opt: opt}).Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "classify:", err)
+		os.Exit(2)
+	}
 	if *par > 0 {
 		schedule.Shared().SetPoolSize(*par)
 	}

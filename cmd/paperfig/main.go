@@ -52,19 +52,14 @@
 //	-stats           print scheduler cache/dedup statistics to stderr
 //	-cpuprofile FILE write a pprof CPU profile covering the whole run
 //	-memprofile FILE write a pprof heap snapshot at exit (post-GC live set)
-//	-server URL      run the experiments on a paperfigd server instead of
-//	                 in process; tables stream back and print identically
 //
 // All simulations route through the shared internal/schedule scheduler, so
 // a -all run computes the TA-DRRIP baseline grids once even though nearly
 // every figure needs them, and a second run against the same -cache-dir is
-// close to free. With -server, the same requests post to a long-running
-// paperfigd (cmd/paperfigd) whose scheduler is shared by every client —
-// the cache then coalesces across users, not just within one run.
+// close to free.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -73,7 +68,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/prof"
 	"repro/internal/schedule"
-	"repro/internal/serve"
 	"repro/internal/sim"
 )
 
@@ -164,7 +158,6 @@ func main() {
 		csvDir    = flag.String("csv", "", "write per-table CSV files into this directory")
 		cacheDir  = flag.String("cache-dir", "", "on-disk simulation cache directory (e.g. "+schedule.DefaultCacheDir+")")
 		stats     = flag.Bool("stats", false, "print scheduler statistics to stderr")
-		server    = flag.String("server", "", "paperfigd base URL (e.g. http://localhost:8090); runs experiments remotely")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file")
@@ -248,9 +241,7 @@ func main() {
 		sched.SetPoolSize(*par)
 	}
 	if *cacheDir != "" {
-		if *server != "" {
-			fmt.Fprintln(os.Stderr, "paperfig: -cache-dir is ignored with -server (the server owns its own store)")
-		} else if err := sched.SetCacheDir(*cacheDir); err != nil {
+		if err := sched.SetCacheDir(*cacheDir); err != nil {
 			fmt.Fprintln(os.Stderr, "paperfig:", err)
 			os.Exit(1)
 		}
@@ -263,33 +254,13 @@ func main() {
 		art.Add(t.Data())
 	}
 
-	if *server != "" {
-		// Remote mode: stream each request's tables from paperfigd. The
-		// rendering path is the same Table.Fprint, so stdout is
-		// byte-identical to a local run of the same requests.
-		client := &serve.Client{BaseURL: *server}
-		for _, r := range reqs {
-			sum, err := client.StreamTables(context.Background(), r, func(td schedule.TableData) error {
-				emit(experiments.Table{Title: td.Title, Note: td.Note, Header: td.Header, Rows: td.Rows})
-				return nil
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "paperfig:", err)
-				os.Exit(1)
-			}
-			// The server reports its own cumulative scheduler traffic; keep
-			// the last snapshot for the artifact and -stats.
-			art.Scheduler = sum.Scheduler
+	for _, r := range reqs {
+		if err := r.Run(emit); err != nil {
+			fmt.Fprintln(os.Stderr, "paperfig:", err)
+			os.Exit(1)
 		}
-	} else {
-		for _, r := range reqs {
-			if err := r.Run(emit); err != nil {
-				fmt.Fprintln(os.Stderr, "paperfig:", err)
-				os.Exit(1)
-			}
-		}
-		art.Scheduler = sched.Stats()
 	}
+	art.Scheduler = sched.Stats()
 
 	elapsed := time.Since(start).Round(time.Millisecond)
 	art.Elapsed = elapsed.String()

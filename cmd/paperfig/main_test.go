@@ -105,8 +105,9 @@ func TestFidelityFlagDefaultsAreQuick(t *testing.T) {
 }
 
 // TestBadSamplingFlagsExitWithError runs the built command: sampling flags
-// that no window layout can satisfy are rejected before any simulation,
-// with exit status 2 and a one-line error, never a panic stack.
+// that no window layout can satisfy, and a cache scale that leaves a
+// non-power-of-two set count, are rejected before any simulation, with
+// exit status 2 and a one-line error, never a panic stack.
 func TestBadSamplingFlagsExitWithError(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -116,17 +117,21 @@ func TestBadSamplingFlagsExitWithError(t *testing.T) {
 	if out, err := exec.Command(goTool, "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	for _, windows := range []string{"1000000", "-5"} {
-		cmd := exec.Command(bin, "-fig", "1", "-tiny", "-sample-windows", windows)
+	for _, args := range [][]string{
+		{"-fig", "1", "-tiny", "-sample-windows", "1000000"},
+		{"-fig", "1", "-tiny", "-sample-windows", "-5"},
+		{"-table", "7", "-tiny", "-cache-scale", "3"}, // L1 sets 64/3 = 21
+	} {
+		cmd := exec.Command(bin, args...)
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("-sample-windows %s: exit %v, want status 2", windows, err)
+			t.Errorf("%v: exit %v, want status 2", args, err)
 		}
 		if msg := strings.TrimSpace(stderr.String()); strings.Contains(msg, "\n") || !strings.HasPrefix(msg, "paperfig: ") {
-			t.Errorf("-sample-windows %s: stderr is not a one-line error:\n%s", windows, msg)
+			t.Errorf("%v: stderr is not a one-line error:\n%s", args, msg)
 		}
 	}
 }

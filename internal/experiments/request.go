@@ -9,9 +9,9 @@ import (
 // Request is the wire-shaped form of one paperfig experiment selection —
 // the same choice the CLI flags express (-fig/-table/-ablation/-compare
 // plus fidelity options), as a JSON-serializable value. cmd/paperfig turns
-// its flags into Requests and either runs them in process or posts them to
-// a paperfigd server (internal/serve); either path calls Run, so the
-// emitted tables are bit-identical by construction.
+// its flags into Requests and runs them; internal/serve decodes them from
+// HTTP bodies and calls the same Run, so the emitted tables are
+// bit-identical by construction.
 type Request struct {
 	// Fig selects a figure (1, 3, 4, 5, 6, 7, 8). Zero means none.
 	Fig int `json:"fig,omitempty"`
@@ -53,7 +53,8 @@ func (r Request) Name() string {
 }
 
 // Validate reports whether the request selects exactly one known
-// experiment at a runnable fidelity.
+// experiment at a runnable fidelity: every machine its harness builds must
+// pass sim.Config.Validate, since a simulation panics on one that does not.
 func (r Request) Validate() error {
 	selectors := 0
 	if r.Fig != 0 {
@@ -108,6 +109,12 @@ func (r Request) Validate() error {
 	if r.Table == 2 {
 		return nil
 	}
+	// Every harness builds its machines from baseConfig, which varies only
+	// the core count; a cache scale that leaves a non-power-of-two set
+	// count fails here instead of inside a simulation.
+	if err := r.Opt.baseConfig(4).Validate(); err != nil {
+		return fmt.Errorf("experiments: cache scale %d: %w", r.Opt.Scale, err)
+	}
 	sample := r.Opt.Sample
 	if r.Sampling && !sample.Enabled() {
 		sample = sim.DefaultSample() // what SamplingValidation runs
@@ -116,11 +123,10 @@ func (r Request) Validate() error {
 }
 
 // Run executes the request at its embedded fidelity, emitting each table
-// to emit as soon as the harness produces it — the streaming seam
-// paperfigd's chunked responses are built on. All simulations route
-// through the process-wide shared scheduler, so overlapping requests (the
-// TA-DRRIP baselines shared by most figures, concurrent clients asking for
-// the same figure) coalesce instead of re-simulating.
+// to emit as soon as the harness produces it — the seam /v1/tables
+// streams through. All simulations route through the process-wide shared
+// scheduler, so overlapping requests (the TA-DRRIP baselines shared by
+// most figures) coalesce instead of re-simulating.
 func (r Request) Run(emit func(Table)) error {
 	if err := r.Validate(); err != nil {
 		return err

@@ -16,6 +16,8 @@ func TestRequestValidate(t *testing.T) {
 	}
 	tinyBudget := opt
 	tinyBudget.MeasureInstr = sim.DefaultSampleWindows - 1
+	scale3 := opt
+	scale3.Scale = 3 // 64 L1 sets / 3 = 21, not a power of two
 	valid := []Request{
 		{Fig: 3, Opt: opt},
 		{Fig: 8, Scale: true, Opt: opt},
@@ -48,6 +50,7 @@ func TestRequestValidate(t *testing.T) {
 		// The sampling study falls back to the default layout, which must
 		// fit the budget too.
 		{Request{Sampling: true, Opt: tinyBudget}, "one instruction per window"},
+		{Request{Table: 7, Opt: scale3}, "power of two"},
 	}
 	for _, tc := range invalid {
 		err := tc.req.Validate()

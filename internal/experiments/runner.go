@@ -78,7 +78,7 @@ func Tiny() Options {
 func forEach(sched *schedule.Scheduler, n int, fn func(i int)) {
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < min(sched.Gauges().PoolCap, n); w++ {
+	for w := 0; w < min(sched.PoolSize(), n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

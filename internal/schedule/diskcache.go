@@ -94,7 +94,7 @@ func (d *diskCache) load() error {
 		return fmt.Errorf("schedule: scan cache dir: %w", err)
 	}
 	for _, path := range matches {
-		bad, err := scanSegment(path, func(e segEntry, _ []byte) { d.index[e.Key] = e.Result })
+		bad, err := scanSegment(path, func(e segEntry) { d.index[e.Key] = e.Result })
 		if err != nil {
 			bad = 1
 		}
@@ -106,9 +106,8 @@ func (d *diskCache) load() error {
 // scanSegment calls fn, in file order, with every usable line of one
 // segment file: a JSON entry of the current KeySchema with a key. It
 // returns how many non-empty lines were unusable, counting an unreadable
-// tail as one line. This is the one usable-line rule the cache's open-time
-// scan and MaintainStore's compaction share.
-func scanSegment(path string, fn func(e segEntry, line []byte)) (bad uint64, err error) {
+// tail as one line.
+func scanSegment(path string, fn func(e segEntry)) (bad uint64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
@@ -126,7 +125,7 @@ func scanSegment(path string, fn func(e segEntry, line []byte)) (bad uint64, err
 			bad++
 			continue
 		}
-		fn(e, line)
+		fn(e)
 	}
 	if sc.Err() != nil {
 		bad++

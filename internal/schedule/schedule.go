@@ -21,13 +21,9 @@
 //     conventionally .simcache/) versioned by the key schema, so
 //     cmd/paperfig re-runs are incremental across invocations.
 //
-// The scheduler is serving-grade: internal/serve runs it inside the
-// long-lived paperfigd server, so flights execute on their own goroutine
-// and always settle — a panicking job becomes an error result (never a
-// wedged key or a leaked pool worker), and any caller, including the one
-// that created the flight, can abandon the wait through RunContext's
-// context without killing the execution. Abandoned flights run to
-// completion and populate the store for the next requester.
+// Flights always settle: a panicking job becomes a *PanicError delivered
+// to every caller waiting on its key (never a wedged key or a leaked pool
+// worker), and Run re-panics it on each caller's goroutine.
 //
 // Runs whose value lives outside the sim.Result — e.g. Table 4's
 // footprint-sampler hooks — use RunUncached, which still shares the pool
@@ -36,7 +32,6 @@ package schedule
 
 import (
 	"container/list"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -44,7 +39,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"time"
 	"unsafe"
 
 	"repro/internal/bench"
@@ -87,14 +81,14 @@ import (
 // thresholds and quotas, the arbiter's core count, ADAPT's array size, the
 // sampling quantum). Results are unchanged — the golden corpus is
 // identical to v5 — but every config fingerprint, and so every job key,
-// moved; the bump lets store maintenance evict the orphaned v5 segments
-// wholesale instead of carrying them as dead entries.
+// moved; the bump strands the orphaned v5 segments in their own directory
+// (make clean reclaims it) instead of carrying them as dead entries.
 const KeySchema = "job/v6+" + sim.FingerprintSchema
 
 // DefaultMemBudget is the default byte budget of the in-memory result
 // tier. Results are small (a few hundred bytes per app), so this admits
 // hundreds of thousands of entries before evicting — far beyond any CLI
-// run — while bounding a long-lived server's growth.
+// run — while bounding a long-lived process's growth.
 const DefaultMemBudget int64 = 256 << 20
 
 // Job is one simulation request: a fully-configured machine (any
@@ -130,8 +124,7 @@ func (j Job) Key() string {
 // Validate reports whether the job can run: a buildable machine, one
 // registered benchmark per core, a measured budget and a sampling layout
 // that fits it. Harness-built jobs are valid by construction; callers that
-// take jobs from users (paperfigd's /v1/jobs) check them here, since Run
-// panics on each of these.
+// take jobs from users check them here, since Run panics on each of these.
 func (j Job) Validate() error {
 	if err := j.Config.Validate(); err != nil {
 		return err
@@ -157,7 +150,7 @@ func (j Job) run() sim.Result {
 // Stats counts scheduler traffic. Hits()>0 across two harnesses proves the
 // grids overlap and the dedup machinery is earning its keep.
 type Stats struct {
-	// Submitted counts every Run/RunContext/RunUncached call.
+	// Submitted counts every Run/RunUncached call.
 	Submitted uint64 `json:"submitted"`
 	// Executed counts jobs that actually simulated (cacheable path).
 	Executed uint64 `json:"executed"`
@@ -173,9 +166,6 @@ type Stats struct {
 	DiskErrors uint64 `json:"disk_errors"`
 	// Evictions counts in-memory results dropped by the LRU byte budget.
 	Evictions uint64 `json:"evictions"`
-	// Cancelled counts RunContext callers that abandoned a flight (or the
-	// queue) because their context ended before the result settled.
-	Cancelled uint64 `json:"cancelled"`
 	// Panics counts jobs whose execution panicked; each settles its flight
 	// with a *PanicError instead of wedging latecomers on the key.
 	Panics uint64 `json:"panics"`
@@ -194,37 +184,15 @@ func (s Stats) String() string {
 	if s.Evictions > 0 {
 		out += fmt.Sprintf(" evictions=%d", s.Evictions)
 	}
-	if s.Cancelled > 0 {
-		out += fmt.Sprintf(" cancelled=%d", s.Cancelled)
-	}
 	if s.Panics > 0 {
 		out += fmt.Sprintf(" panics=%d", s.Panics)
 	}
 	return out
 }
 
-// Gauges is a point-in-time view of the scheduler's moving parts — the
-// live quantities (as opposed to the monotone Stats counters) that
-// paperfigd exposes at /statsz and /metrics.
-type Gauges struct {
-	// InflightFlights is the number of keys currently executing or queued
-	// as singleflight leaders.
-	InflightFlights int `json:"inflight_flights"`
-	// PoolCap / PoolBusy are the worker pool's total and claimed workers.
-	PoolCap  int `json:"pool_cap"`
-	PoolBusy int `json:"pool_busy"`
-	// QueueDepth counts jobs waiting for pool admission.
-	QueueDepth int `json:"queue_depth"`
-	// MemEntries / MemBytes / MemBudget describe the in-memory LRU tier.
-	MemEntries int   `json:"mem_entries"`
-	MemBytes   int64 `json:"mem_bytes"`
-	MemBudget  int64 `json:"mem_budget"`
-}
-
 // PanicError is the error a panicking job settles its flight with. Every
-// waiter on the key — and any later RunContext caller racing the
-// settlement — receives it instead of deadlocking on a flight that will
-// never close; Run re-panics it to preserve the CLI's crash-on-bug
+// waiter on the key receives it instead of deadlocking on a flight that
+// will never close; Run re-panics it to preserve the CLI's crash-on-bug
 // behaviour.
 type PanicError struct {
 	// Key is the job's content-addressed identity.
@@ -254,8 +222,8 @@ type flight struct {
 }
 
 // workerPool is the scheduler's bounded worker budget: at most cap jobs
-// execute at once. Admission is strict FIFO, so under the serving workload
-// an early request is never starved by a stream of latecomers.
+// execute at once. Admission is strict FIFO, so an early job is never
+// starved by a stream of latecomers.
 type workerPool struct {
 	mu      sync.Mutex
 	cap     int
@@ -309,11 +277,11 @@ func (p *workerPool) resize(capacity int) {
 	p.mu.Unlock()
 }
 
-// gauges reports (cap, busy, queued jobs).
-func (p *workerPool) gauges() (capacity, busy, queued int) {
+// size reports the pool's capacity.
+func (p *workerPool) size() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.cap, p.cap - p.avail, len(p.waiters)
+	return p.cap
 }
 
 // memEntry is one in-memory cached result plus its LRU accounting.
@@ -337,9 +305,9 @@ type Scheduler struct {
 	inflight map[string]*flight
 	disk     *diskCache
 	// diskCounted remembers how many load errors per cache root have been
-	// folded into Stats.DiskErrors, so re-opening the same directory (the
-	// server does this after every store-maintenance pass) adds only new
-	// corruption instead of double-counting the old.
+	// folded into Stats.DiskErrors, so re-opening the same directory (a
+	// warm replay after detaching the store) adds only new corruption
+	// instead of double-counting the old.
 	diskCounted map[string]uint64
 	stats       Stats
 }
@@ -368,8 +336,7 @@ var (
 
 // Shared returns the process-wide scheduler all harnesses use by default,
 // sized to GOMAXPROCS. Sharing it is what lets independent harnesses (and
-// independent tests in one binary) reuse each other's baseline runs — and
-// what lets paperfigd coalesce table requests from many clients.
+// independent tests in one binary) reuse each other's baseline runs.
 func Shared() *Scheduler {
 	sharedOnce.Do(func() { shared = New(0) })
 	return shared
@@ -380,8 +347,8 @@ func Shared() *Scheduler {
 // dir/<key-schema-slug>/<segment>.seg, so a schema bump naturally strands
 // old entries rather than misreading them. Opening the cache scans every
 // segment into memory; unusable lines are counted as DiskErrors once per
-// root — re-opening the same directory (e.g. after MaintainStore) only
-// adds corruption that appeared since.
+// root — re-opening the same directory only adds corruption that appeared
+// since.
 func (s *Scheduler) SetCacheDir(dir string) error {
 	var d *diskCache
 	if dir != "" {
@@ -424,9 +391,9 @@ func (s *Scheduler) SetPoolSize(workers int) {
 }
 
 // SetRunFn replaces the function that executes one job. It is a seam for
-// tests and load harnesses (internal/serve's load test injects a stub so
-// thousands of requests need no real simulations); production code leaves
-// the default in place.
+// tests and benchmark harnesses (a stub needs no real simulations, a
+// wrapper can time each job); production code leaves the default in
+// place.
 func (s *Scheduler) SetRunFn(fn func(Job) sim.Result) {
 	s.mu.Lock()
 	s.runFn = fn
@@ -440,66 +407,18 @@ func (s *Scheduler) Stats() Stats {
 	return s.stats
 }
 
-// Gauges returns a snapshot of the scheduler's live state.
-func (s *Scheduler) Gauges() Gauges {
-	capacity, busy, queued := s.pool.gauges()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Gauges{
-		InflightFlights: len(s.inflight),
-		PoolCap:         capacity,
-		PoolBusy:        busy,
-		QueueDepth:      queued,
-		MemEntries:      s.memLRU.Len(),
-		MemBytes:        s.memBytes,
-		MemBudget:       s.memMax,
-	}
-}
-
-// WaitIdle blocks until no flight is in progress and the pool is fully
-// drained, or the context ends. paperfigd calls it after the HTTP server
-// has drained so abandoned flights (whose requesters disconnected) finish
-// and persist before the process exits.
-func (s *Scheduler) WaitIdle(ctx context.Context) error {
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		s.mu.Lock()
-		flights := len(s.inflight)
-		s.mu.Unlock()
-		_, busy, queued := s.pool.gauges()
-		if flights == 0 && busy == 0 && queued == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
-	}
-}
+// PoolSize returns the worker pool's capacity: how many jobs may execute
+// at once.
+func (s *Scheduler) PoolSize() int { return s.pool.size() }
 
 // Run executes the job or returns its memoized result. Concurrent calls
-// with the same key share one execution. The returned Result's Apps slice
-// is a private copy; callers may keep or modify it freely. If the job's
-// execution panicked, Run re-panics with the *PanicError — the flight is
-// settled first, so no other caller is wedged by the crash.
+// with the same key share one execution: the first caller leads the flight
+// on its own goroutine and later ones wait for it. The returned Result's
+// Apps slice is a private copy; callers may keep or modify it freely. If
+// the job's execution panicked, Run re-panics with the *PanicError on
+// every caller's goroutine — the flight is settled first, so no other
+// caller is wedged by the crash.
 func (s *Scheduler) Run(j Job) sim.Result {
-	res, err := s.RunContext(context.Background(), j)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunContext is Run with serving semantics: the caller may abandon the
-// wait through ctx without affecting the execution. The first caller for a
-// key starts a flight on its own goroutine; the flight always runs to
-// completion (and populates the store) even if every waiter leaves, so a
-// disconnecting client never kills work another client is about to ask
-// for. Errors are either the caller's ctx error or the flight's
-// *PanicError.
-func (s *Scheduler) RunContext(ctx context.Context, j Job) (sim.Result, error) {
 	key := j.Key()
 
 	s.mu.Lock()
@@ -507,7 +426,7 @@ func (s *Scheduler) RunContext(ctx context.Context, j Job) (sim.Result, error) {
 	if r, ok := s.memGetLocked(key); ok {
 		s.stats.MemHits++
 		s.mu.Unlock()
-		return cloneResult(r), nil
+		return cloneResult(r)
 	}
 	f, joined := s.inflight[key]
 	if joined {
@@ -515,24 +434,23 @@ func (s *Scheduler) RunContext(ctx context.Context, j Job) (sim.Result, error) {
 	} else {
 		f = &flight{done: make(chan struct{})}
 		s.inflight[key] = f
-		go s.lead(key, j, f, s.disk)
 	}
+	disk := s.disk
 	s.mu.Unlock()
 
-	select {
-	case <-f.done:
-		if f.err != nil {
-			return sim.Result{}, f.err
-		}
-		return cloneResult(f.res), nil
-	case <-ctx.Done():
-		s.count(func(st *Stats) { st.Cancelled++ })
-		return sim.Result{}, ctx.Err()
+	if joined {
+		<-f.done
+	} else {
+		s.lead(key, j, f, disk)
 	}
+	if f.err != nil {
+		panic(f.err)
+	}
+	return cloneResult(f.res)
 }
 
-// lead resolves one flight on its own goroutine: disk probe, pool-bounded
-// execution, disk write-back, settlement. The deferred settle is the
+// lead resolves one flight on the leading caller's goroutine: disk probe,
+// pool-bounded execution, disk write-back, settlement. The deferred settle is the
 // panic-safety contract — no matter what the job does, waiters are woken
 // and the key is released, with a panic converted into the flight's error.
 func (s *Scheduler) lead(key string, j Job, f *flight, disk *diskCache) {

@@ -1,9 +1,9 @@
 package schedule
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -446,11 +446,25 @@ func TestSlugify(t *testing.T) {
 	}
 }
 
-// TestPanickingJobSettlesFlight is the regression test for the serving
-// bugfix: a panicking runFn must (a) not wedge latecomers blocked on the
-// flight, (b) release its pool worker, (c) surface as *PanicError on every
-// caller, and (d) be counted in Stats.Panics. Before the fix, the flight
-// never settled and every latecomer on the key blocked forever.
+// runErr calls Run and returns the value it re-panics with as an error.
+func runErr(s *Scheduler, j Job) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err, _ = p.(error)
+			if err == nil {
+				err = fmt.Errorf("non-error panic %v", p)
+			}
+		}
+	}()
+	s.Run(j)
+	return nil
+}
+
+// TestPanickingJobSettlesFlight: a panicking runFn must (a) not wedge
+// latecomers blocked on the flight, (b) release its pool worker, (c)
+// surface as *PanicError on every caller, and (d) be counted in
+// Stats.Panics. A flight that never settled would block every latecomer on
+// the key forever.
 func TestPanickingJobSettlesFlight(t *testing.T) {
 	s := New(1) // one worker: a leak would wedge the next job
 	entered := make(chan struct{})
@@ -463,18 +477,12 @@ func TestPanickingJobSettlesFlight(t *testing.T) {
 	j := testJob(1)
 
 	leaderErr := make(chan error, 1)
-	go func() {
-		_, err := s.RunContext(context.Background(), j)
-		leaderErr <- err
-	}()
+	go func() { leaderErr <- runErr(s, j) }()
 	<-entered
 
 	// A latecomer joins the in-flight key, then the job panics.
 	latecomerErr := make(chan error, 1)
-	go func() {
-		_, err := s.RunContext(context.Background(), j)
-		latecomerErr <- err
-	}()
+	go func() { latecomerErr <- runErr(s, j) }()
 	for s.Stats().Shared < 1 {
 		time.Sleep(time.Millisecond)
 	}
@@ -511,15 +519,20 @@ func TestPanickingJobSettlesFlight(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("pool worker leaked: post-panic job never ran")
 	}
-	if g := s.Gauges(); g.PoolBusy != 0 || g.InflightFlights != 0 {
-		t.Fatalf("gauges not drained: %+v", g)
+	s.mu.Lock()
+	flights := len(s.inflight)
+	s.mu.Unlock()
+	s.pool.mu.Lock()
+	avail := s.pool.avail
+	s.pool.mu.Unlock()
+	if avail != 1 || flights != 0 {
+		t.Fatalf("not drained: %d free workers, %d flights", avail, flights)
 	}
 }
 
-// TestRunRepanicsOnPanickedJob pins the legacy CLI contract: Run (the
-// no-context wrapper) re-panics a job panic as *PanicError after the
-// flight settles, preserving crash-on-bug behaviour without wedging
-// anyone else.
+// TestRunRepanicsOnPanickedJob pins the CLI contract: Run re-panics a job
+// panic as *PanicError after the flight settles, preserving crash-on-bug
+// behaviour without wedging anyone else.
 func TestRunRepanicsOnPanickedJob(t *testing.T) {
 	s := New(2)
 	s.runFn = func(j Job) sim.Result { panic("boom") }
@@ -562,104 +575,6 @@ func TestRunUncachedReleasesWidthOnPanic(t *testing.T) {
 	}
 }
 
-// TestRunContextWaiterAbandons: cancelling a waiter's context abandons the
-// wait without killing the flight — the leader completes, the result is
-// cached, and the abandonment is counted.
-func TestRunContextWaiterAbandons(t *testing.T) {
-	s := New(2)
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	s.runFn = func(j Job) sim.Result {
-		close(entered)
-		<-release
-		return fakeRun(21)(j)
-	}
-	j := testJob(1)
-
-	leaderRes := make(chan sim.Result, 1)
-	go func() { leaderRes <- s.Run(j) }()
-	<-entered
-
-	ctx, cancel := context.WithCancel(context.Background())
-	waiterErr := make(chan error, 1)
-	go func() {
-		_, err := s.RunContext(ctx, j)
-		waiterErr <- err
-	}()
-	for s.Stats().Shared < 1 {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	select {
-	case err := <-waiterErr:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("waiter err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled waiter did not return")
-	}
-
-	// The flight is still alive; releasing it completes the leader and
-	// caches the result.
-	close(release)
-	select {
-	case r := <-leaderRes:
-		if r.Apps[0].Cycles != 21 {
-			t.Fatalf("leader result = %+v", r)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("leader never completed")
-	}
-	st := s.Stats()
-	if st.Cancelled != 1 || st.Executed != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if s.Run(j).Apps[0].Cycles != 21 {
-		t.Fatal("result of abandoned flight was not cached")
-	}
-	if st := s.Stats(); st.MemHits != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// TestAbandonedLeaderFlightCompletes: even the caller that created the
-// flight can walk away; the execution finishes on its own goroutine and
-// the next requester gets a mem hit, not a re-execution.
-func TestAbandonedLeaderFlightCompletes(t *testing.T) {
-	s := New(2)
-	var executions atomic.Uint64
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	s.runFn = func(j Job) sim.Result {
-		executions.Add(1)
-		close(entered)
-		<-release
-		return fakeRun(33)(j)
-	}
-	j := testJob(1)
-	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := s.RunContext(ctx, j)
-		errCh <- err
-	}()
-	<-entered
-	cancel()
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	close(release)
-	if err := s.WaitIdle(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if s.Run(j).Apps[0].Cycles != 33 {
-		t.Fatal("abandoned leader's result lost")
-	}
-	if executions.Load() != 1 {
-		t.Fatalf("executed %d times, want 1", executions.Load())
-	}
-}
-
 // TestMemBudgetEvictsLRU: the in-memory tier evicts least-recently-used
 // entries past its byte budget; evicted keys re-execute (or disk-hit), and
 // recently-touched keys survive.
@@ -684,8 +599,11 @@ func TestMemBudgetEvictsLRU(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatalf("no evictions under a 3-entry budget: %+v", st)
 	}
-	if g := s.Gauges(); g.MemBytes > g.MemBudget {
-		t.Fatalf("mem tier over budget: %+v", g)
+	s.mu.Lock()
+	memBytes, memMax := s.memBytes, s.memMax
+	s.mu.Unlock()
+	if memBytes > memMax {
+		t.Fatalf("mem tier over budget: %d > %d bytes", memBytes, memMax)
 	}
 
 	// The most recent job must still be resident ...
@@ -755,8 +673,7 @@ func TestDiskWriteFailureNotIndexed(t *testing.T) {
 }
 
 // TestSetCacheDirReopenDoesNotDoubleCount: re-opening the same cache dir
-// (paperfigd does this after every maintenance pass) must not re-add the
-// same load errors to Stats.DiskErrors.
+// must not re-add the same load errors to Stats.DiskErrors.
 func TestSetCacheDirReopenDoesNotDoubleCount(t *testing.T) {
 	dir := t.TempDir()
 	s := New(2)
@@ -818,171 +735,13 @@ func TestSetPoolSize(t *testing.T) {
 	if got := maxInFlight.Load(); got > 4 {
 		t.Fatalf("resized pool admitted %d jobs, cap 4", got)
 	}
-	if g := s.Gauges(); g.PoolCap != 4 || g.PoolBusy != 0 {
-		t.Fatalf("gauges = %+v", g)
+	if n := s.PoolSize(); n != 4 {
+		t.Fatalf("PoolSize = %d, want 4", n)
 	}
-}
-
-// TestMaintainStoreCompactsAndEvicts covers the three store-maintenance
-// passes: stale-schema eviction, duplicate-key compaction, and the size
-// cap — and proves a compacted store still serves every surviving key.
-func TestMaintainStoreCompactsAndEvicts(t *testing.T) {
-	dir := t.TempDir()
-
-	// A stale schema dir that must be evicted wholesale.
-	stale := filepath.Join(dir, "job-v0+stale-schema")
-	if err := os.MkdirAll(stale, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	os.WriteFile(filepath.Join(stale, "old.seg"), []byte("{}\n"), 0o644)
-	// A non-schema dir that must survive.
-	keep := filepath.Join(dir, "unrelated")
-	if err := os.MkdirAll(keep, 0o755); err != nil {
-		t.Fatal(err)
-	}
-
-	// Duplicate appends for one key (mem-evicted re-executions do this).
-	s := New(2)
-	s.runFn = fakeRun(7)
-	if err := s.SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	j1, j2 := testJob(1), testJob(2)
-	s.Run(j1)
-	s.Run(j2)
-	s.mu.Lock()
-	d := s.disk
-	s.mu.Unlock()
-	if err := d.write(j1.Key(), j1, fakeRun(7)(j1)); err != nil {
-		t.Fatal(err) // deliberate duplicate line
-	}
-
-	rep, err := MaintainStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.SchemasEvicted) != 1 || rep.SchemasEvicted[0] != "job-v0+stale-schema" {
-		t.Fatalf("schemas evicted = %v", rep.SchemasEvicted)
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatal("stale schema dir survived")
-	}
-	if _, err := os.Stat(keep); err != nil {
-		t.Fatal("non-schema dir was evicted")
-	}
-	if rep.SegmentsCompacted != 1 || rep.LinesDropped != 1 {
-		t.Fatalf("report = %+v", rep)
-	}
-	if rep.BytesAfter >= rep.BytesBefore {
-		t.Fatalf("compaction did not shrink the store: %+v", rep)
-	}
-
-	// The compacted store still serves both keys.
-	s2 := New(2)
-	s2.runFn = func(Job) sim.Result { t.Fatal("compacted store lost an entry"); return sim.Result{} }
-	if err := s2.SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	s2.Run(j1)
-	s2.Run(j2)
-	if st := s2.Stats(); st.DiskHits != 2 || st.DiskErrors != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-
-	// Size cap: force eviction of everything (1 byte budget).
-	rep2, err := MaintainStore(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.SegmentsEvicted == 0 || rep2.BytesAfter > 1 {
-		t.Fatalf("size cap did not evict: %+v", rep2)
-	}
-}
-
-// TestWaitIdleImmediate: an idle scheduler reports idle without blocking.
-func TestWaitIdleImmediate(t *testing.T) {
-	s := New(2)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if err := s.WaitIdle(ctx); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMaintainStoreRacesLiveWriter pins MaintainStore's documented
-// concurrency contract: a maintenance pass racing live appenders may at
-// worst drop a freshly-appended line (a re-executable cache entry, never
-// an answer) — it must never error, corrupt the store, or lose an entry
-// that was durable before maintenance began. Run under -race this also
-// proves the pass shares no unsynchronized memory with the writer path.
-func TestMaintainStoreRacesLiveWriter(t *testing.T) {
-	dir := t.TempDir()
-	s := New(2)
-	s.runFn = fakeRun(5)
-	if err := s.SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	d := s.disk
-	s.mu.Unlock()
-
-	// Entries durable before any maintenance pass; every one gets a
-	// duplicate append so each pass has real compaction work to do.
-	durable := make([]Job, 8)
-	for i := range durable {
-		durable[i] = testJob(uint64(i + 1))
-		s.Run(durable[i])
-		if err := d.write(durable[i].Key(), durable[i], fakeRun(5)(durable[i])); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				j := testJob(uint64(100 + 10*w + i%7))
-				j.Segment = "writer"
-				if err := d.write(j.Key(), j, fakeRun(5)(j)); err != nil {
-					t.Errorf("live writer %d: %v", w, err)
-					return
-				}
-			}
-		}(w)
-	}
-	for pass := 0; pass < 25; pass++ {
-		if _, err := MaintainStore(dir, 0); err != nil {
-			t.Fatalf("maintenance pass %d racing a live writer: %v", pass, err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-
-	// Writers quiesced: one more pass, then a fresh scheduler must serve
-	// every durable key straight from disk without executing anything.
-	if _, err := MaintainStore(dir, 0); err != nil {
-		t.Fatal(err)
-	}
-	s2 := New(2)
-	s2.runFn = func(Job) sim.Result {
-		t.Error("maintenance lost a durable entry")
-		return sim.Result{}
-	}
-	if err := s2.SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range durable {
-		s2.Run(j)
-	}
-	if st := s2.Stats(); st.DiskHits != uint64(len(durable)) {
-		t.Fatalf("stats = %+v, want %d disk hits", st, len(durable))
+	s.pool.mu.Lock()
+	avail := s.pool.avail
+	s.pool.mu.Unlock()
+	if avail != 4 {
+		t.Fatalf("%d of 4 workers free after the jobs finished", avail)
 	}
 }

@@ -13,26 +13,11 @@ import (
 	"repro/internal/schedule"
 )
 
-// Client talks to a paperfigd server. The zero value is unusable; set
-// BaseURL ("http://host:port", no trailing slash needed).
+// Client talks to a Server's /v1/tables endpoint. The zero value is
+// unusable; set BaseURL ("http://host:port", no trailing slash needed).
 type Client struct {
 	// BaseURL locates the server.
 	BaseURL string
-	// HTTP is the transport; nil means http.DefaultClient. Streams can run
-	// for the length of a paper-fidelity experiment, so the client used
-	// here must not carry a short Timeout.
-	HTTP *http.Client
-}
-
-func (c *Client) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
-
-func (c *Client) url(path string) string {
-	return strings.TrimRight(c.BaseURL, "/") + path
 }
 
 // StreamTables posts an experiment request and invokes emit for each table
@@ -43,12 +28,14 @@ func (c *Client) StreamTables(ctx context.Context, req experiments.Request, emit
 	if err != nil {
 		return nil, fmt.Errorf("serve: marshal request: %w", err)
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url("/v1/tables"), bytes.NewReader(body))
+	url := strings.TrimRight(c.BaseURL, "/") + "/v1/tables"
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(hreq)
+	// No client timeout: a stream lasts as long as the experiment.
+	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %s: %w", req.Name(), err)
 	}
@@ -83,48 +70,6 @@ func (c *Client) StreamTables(ctx context.Context, req experiments.Request, emit
 		return nil, fmt.Errorf("serve: %s: stream: %w", req.Name(), err)
 	}
 	return nil, fmt.Errorf("serve: %s: stream ended without a done frame (server died mid-request?)", req.Name())
-}
-
-// RunJob posts one raw schedule.Job and returns its key and result.
-// Cancelling ctx abandons the server-side wait (the flight itself runs to
-// completion and is cached).
-func (c *Client) RunJob(ctx context.Context, job schedule.Job) (*JobResponse, error) {
-	body, err := json.Marshal(job)
-	if err != nil {
-		return nil, fmt.Errorf("serve: marshal job: %w", err)
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url("/v1/jobs"), bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("serve: job: %s", readError(resp))
-	}
-	var jr JobResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
-		return nil, fmt.Errorf("serve: decode job response: %w", err)
-	}
-	return &jr, nil
-}
-
-// Healthy reports whether the server answers its liveness probe.
-func (c *Client) Healthy(ctx context.Context) bool {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/healthz"), nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.http().Do(hreq)
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
 }
 
 // readError extracts the {"error": ...} payload of a failed response.

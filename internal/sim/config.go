@@ -87,8 +87,8 @@ type Config struct {
 	// LLC (used by the Table 4 footprint-measurement harness). It must not
 	// mutate simulator state. Hooks are process-local by nature: they are
 	// excluded from both the fingerprint (func fields always are) and the
-	// JSON form, so a schedule.Job can travel to a paperfigd server —
-	// hook-carrying jobs must use the uncached, in-process path.
+	// JSON form, so a Config still marshals with a hook set — and
+	// hook-carrying jobs must use the scheduler's uncached path.
 	LLCAccessHook func(core, set int, block uint64) `json:"-"`
 }
 
